@@ -275,13 +275,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.core.phasebalancer import PhaseAwareLoadBalancer
     from repro.experiments.fig9 import avg_discrete_set
     from repro.experiments.report import format_table
-    from repro.netsim.simulator import MpiSimulator
 
     gear_set = build_gear_set(args.gears)
     app = build_app(args.app, iterations=max(args.iterations, 2))
-    trace = MpiSimulator().run(
-        app.programs(), record_trace=True, meta={"name": app.name}
-    ).trace
+    trace = PowerAwareLoadBalancer(gear_set=gear_set).trace_app(app)
 
     rows = []
 
@@ -322,19 +319,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.apps import build_app
-    from repro.core.balancer import PowerAwareLoadBalancer
-    from repro.core.gears import uniform_gear_set
     from repro.traces.jsonio import write_trace
 
     app = build_app(args.app, iterations=args.iterations)
-    balancer = PowerAwareLoadBalancer(gear_set=uniform_gear_set(6))
-    if args.jobs > 1:
-        # shard-parallel generation goes straight to columnar storage
-        # (byte-identical output whatever the worker count)
-        trace = app.columnar_trace(jobs=args.jobs)
-        trace.meta.setdefault("nproc", trace.nproc)
-    else:
-        trace = balancer.trace_app(app, columnar=args.columnar)
+    # shard-parallel generation is byte-identical whatever the worker count
+    trace = app.columnar_trace(jobs=max(args.jobs, 1))
+    trace.meta.setdefault("nproc", trace.nproc)
     write_trace(trace, args.output)
     print(f"wrote {args.output} ({trace.total_records()} records, "
           f"{trace.nproc} ranks)")
@@ -712,15 +702,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_trr.add_argument("-o", "--output", default="trace.jsonl")
     p_trr.add_argument("--iterations", type=int, default=6)
     p_trr.add_argument(
-        "--columnar",
-        action="store_true",
-        help="record into columnar storage (no per-event record objects; "
-        "same file bytes, scales to very large worlds)",
-    )
-    p_trr.add_argument(
         "--jobs", type=int, default=1,
-        help="shard-parallel generation workers (implies columnar; "
-        "output bytes are identical whatever the worker count)",
+        help="shard-parallel generation workers "
+        "(output bytes are identical whatever the worker count)",
     )
     p_trr.set_defaults(fn=_cmd_trace)
     p_trp = trace_sub.add_parser(

@@ -224,51 +224,26 @@ class PowerAwareLoadBalancer:
         self.accountant = EnergyAccountant(self.power_model)
 
     # ------------------------------------------------------------------
-    def trace_app(self, app: "Any", columnar: bool = False) -> "Any":
-        """Run an application skeleton once at nominal speed, recording.
+    def trace_app(self, app: "Any") -> "Any":
+        """The application's trace at nominal speed, as columns.
 
-        Recording is inherently a DES activity (a compiled tape cannot
-        emit a trace), so this step always runs on the DES whatever the
-        replay-engine selection — results are engine-independent.
-
-        With ``columnar=True`` the skeleton emits straight into a
-        :class:`~repro.traces.columnar.ColumnarTrace` instead of being
-        executed through the DES — the recorded event streams are
-        identical (the DES appends each operation to the trace in
-        program order before executing it), but no per-event record
-        objects or DES machinery are involved, which is what makes
-        100k-rank worlds traceable.
+        The skeleton emits straight into a
+        :class:`~repro.traces.columnar.ColumnarTrace`: the event streams
+        are exactly what a DES recording run would write (the DES
+        appends each operation to the trace in program order before
+        executing it), without running the world through the DES or
+        building per-event record objects.  DES trace recording stays
+        as the test oracle for this equivalence.
         """
-        if columnar:
-            trace = app.columnar_trace()
-            trace.meta.setdefault("nproc", trace.nproc)
-            return trace
-        recorder = getattr(self.simulator, "des", self.simulator)
-        if recorder.name != "des":
-            from repro.netsim.simulator import MpiSimulator
-
-            recorder = MpiSimulator(self.simulator.platform, self.time_model)
-        result = recorder.run(
-            app.programs(), record_trace=True, meta={"name": app.name}
-        )
-        trace = result.trace
+        trace = app.columnar_trace()
         trace.meta.setdefault("nproc", trace.nproc)
         return trace
 
     def balance_app(
-        self,
-        app: "Any",
-        algorithm: FrequencyAlgorithm | None = None,
-        columnar: bool = False,
+        self, app: "Any", algorithm: FrequencyAlgorithm | None = None
     ) -> BalanceReport:
-        """Trace an application skeleton, then balance the trace.
-
-        ``columnar=True`` traces into columnar storage (see
-        :meth:`trace_app`); the report is byte-identical either way.
-        """
-        return self.balance_trace(
-            self.trace_app(app, columnar=columnar), algorithm=algorithm
-        )
+        """Trace an application skeleton, then balance the trace."""
+        return self.balance_trace(self.trace_app(app), algorithm=algorithm)
 
     # ------------------------------------------------------------------
     def balance_trace(

@@ -107,15 +107,7 @@ class BatchBalancePlanner:
         self, app: "Any", candidates: "Any"
     ) -> list[BalanceReport]:
         """Trace an application skeleton once, then plan the trace."""
-        recorder = getattr(self.simulator, "des", self.simulator)
-        if recorder.name != "des":
-            from repro.netsim.simulator import MpiSimulator
-
-            recorder = MpiSimulator(self.simulator.platform, self.time_model)
-        result = recorder.run(
-            app.programs(), record_trace=True, meta={"name": app.name}
-        )
-        trace = result.trace
+        trace = app.columnar_trace()
         trace.meta.setdefault("nproc", trace.nproc)
         return self.plan_trace(trace, candidates)
 

@@ -58,7 +58,8 @@ __all__ = [
 
 #: Salted into every key; bump on any change that invalidates old blobs.
 #: v2: digest-framed blob format (magic + SHA-256 of the pickle body).
-CACHE_VERSION = 2
+#: v3: ``"trace"`` blobs hold a ``ColumnarTrace`` instead of a ``Trace``.
+CACHE_VERSION = 3
 
 #: Every blob starts with this magic; the version byte tracks the
 #: framing format, not :data:`CACHE_VERSION` (which salts the *keys*).

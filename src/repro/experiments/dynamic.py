@@ -22,7 +22,6 @@ from repro.core.balancer import PowerAwareLoadBalancer
 from repro.core.dynamic import CommPhaseScalingRuntime, JitterRuntime
 from repro.core.gears import uniform_gear_set
 from repro.experiments.runner import ExperimentResult, RunnerConfig
-from repro.netsim.simulator import MpiSimulator
 from repro.traces.iterstats import iteration_stats
 
 __all__ = ["run"]
@@ -40,8 +39,7 @@ def _trace(name: str, config: RunnerConfig, drift_step: int = 0):
         platform=config.platform,
         drift_step=drift_step,
     )
-    sim = MpiSimulator(platform=config.platform)
-    return sim.run(app.programs(), record_trace=True, meta={"name": app.name}).trace
+    return app.columnar_trace()
 
 
 def run(config: RunnerConfig | None = None) -> ExperimentResult:

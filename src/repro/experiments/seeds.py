@@ -21,7 +21,6 @@ from repro.apps.registry import build_app
 from repro.core.balancer import PowerAwareLoadBalancer
 from repro.core.gears import uniform_gear_set
 from repro.experiments.runner import ExperimentResult, RunnerConfig
-from repro.netsim.simulator import MpiSimulator
 
 __all__ = ["run", "N_SEEDS"]
 
@@ -43,14 +42,10 @@ def run(config: RunnerConfig | None = None) -> ExperimentResult:
                 platform=config.platform,
                 seed=None if k == 0 else 10_000 + 97 * k,
             )
-            sim = MpiSimulator(platform=config.platform)
-            trace = sim.run(
-                app.programs(), record_trace=True, meta={"name": app.name}
-            ).trace
             balancer = PowerAwareLoadBalancer(
                 gear_set=gear_set, platform=config.platform
             )
-            report = balancer.balance_trace(trace)
+            report = balancer.balance_app(app)
             energies.append(100.0 * report.normalized_energy)
             lbs.append(100.0 * report.load_balance)
         energies = np.array(energies)

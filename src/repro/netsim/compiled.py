@@ -848,7 +848,9 @@ class CompiledProgram:
         self._wire_eager = wire_eager
         self._wire_rdv = wire_rdv
         self._coll_costs = coll_costs
-        self._programs = programs
+        # DES cross-validation source; CompiledReplayEngine.compile_trace
+        # swaps a trace it caches the program on for a weak reference
+        self._programs: Any = programs
         self._instrs_cache: tuple[tuple[Any, ...], ...] | None = None
         # numpy constant pools for the batch VM (views, not copies)
         self._np_dur = _pool_view(dur, float)
@@ -1206,10 +1208,18 @@ class CompiledProgram:
         *exact* (bit-identical) agreement of makespan and per-rank
         compute/comm/end seconds.  Returns the compiled result.
         """
+        import weakref
+
         from repro.netsim.simulator import MpiSimulator
 
         sim = simulator or MpiSimulator(self.platform, self.time_model)
         programs = self._programs
+        if isinstance(programs, weakref.ref):
+            programs = programs()
+            if programs is None:
+                raise ReferenceError(
+                    "the trace this program was compiled from is gone"
+                )
         if isinstance(programs, ColumnarTrace):
             programs = programs.to_programs()
         des = sim.run(programs, frequencies=frequencies)
@@ -1279,9 +1289,15 @@ class CompiledReplayEngine:
                 return entry
         try:
             if isinstance(trace, ColumnarTrace):
+                import weakref
+
                 program = compile_columnar_world(
                     trace, self.platform, self.time_model
                 )
+                # the trace caches the program, so a strong back-reference
+                # would make a cycle that keeps the columns (and any file
+                # mapping) alive until a full garbage collection
+                program._programs = weakref.ref(trace)
             else:
                 program = compile_world(
                     [stream.records for stream in trace],

@@ -61,7 +61,7 @@ from repro.traces.records import (
     WaitRecord,
     WaitallRecord,
 )
-from repro.traces.trace import Trace
+from repro.traces.trace import Trace, drop_memos
 
 __all__ = [
     "KIND_CODES",
@@ -580,6 +580,9 @@ class ColumnarTrace:
             self.collop, self.reqpool,
         )
         return int(sum(a.nbytes for a in arrays))
+
+    def __getstate__(self) -> dict[str, Any]:
+        return drop_memos(self.__dict__)
 
     # -- conversions ----------------------------------------------------
     @classmethod

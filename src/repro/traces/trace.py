@@ -20,6 +20,16 @@ from repro.traces.records import (
 
 __all__ = ["RankStream", "Trace"]
 
+#: Per-process memo attributes that balancing and replay engines set on
+#: a trace (compiled programs, baseline replays).  They are cheap to
+#: rebuild and tied to this process, so pickles leave them out.
+MEMO_ATTRS = ("_compiled_cache", "_baseline_cache")
+
+
+def drop_memos(state: dict[str, Any]) -> dict[str, Any]:
+    """A copy of an instance ``__dict__`` without :data:`MEMO_ATTRS`."""
+    return {k: v for k, v in state.items() if k not in MEMO_ATTRS}
+
 
 @dataclass
 class RankStream:
@@ -93,6 +103,9 @@ class Trace:
 
     def total_records(self) -> int:
         return sum(len(s) for s in self.streams)
+
+    def __getstate__(self) -> dict[str, Any]:
+        return drop_memos(self.__dict__)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.timemodel import BetaTimeModel
-from repro.traces.columnar import K_COMPUTE, ColumnarTrace
+from repro.traces.columnar import K_COMPUTE, K_MARKER, ColumnarTrace
 from repro.traces.records import ComputeBurst, MarkerRecord
 from repro.traces.trace import Trace
 
@@ -120,7 +120,9 @@ def _scale_compute_columns(
     )
 
 
-def cut_iterations(trace: Trace, first: int, last: int) -> Trace:
+def cut_iterations(
+    trace: Trace | ColumnarTrace, first: int, last: int
+) -> Trace | ColumnarTrace:
     """Extract iterations ``first..last`` (inclusive) of the trace.
 
     Iterations are delimited by :class:`MarkerRecord` entries with
@@ -129,11 +131,17 @@ def cut_iterations(trace: Trace, first: int, last: int) -> Trace:
     marker with a different iteration.  Records before any iteration
     marker (initialization) are dropped — exactly the Paraver trace-
     cutting step the paper describes.
+
+    A :class:`ColumnarTrace` input is cut column-wise (no record
+    objects) and yields a :class:`ColumnarTrace` holding the same
+    events as the record path's result.
     """
     if first < 0 or last < first:
         raise ValueError(f"bad iteration range [{first}, {last}]")
     meta = dict(trace.meta)
     meta["cut"] = {"first": first, "last": last}
+    if isinstance(trace, ColumnarTrace):
+        return _cut_iterations_columns(trace, first, last, meta)
     out = Trace(trace.nproc, meta=meta)
     saw_any = False
     for stream in trace:
@@ -152,6 +160,51 @@ def cut_iterations(trace: Trace, first: int, last: int) -> Trace:
             "carry iteration markers?"
         )
     return out
+
+
+def _cut_iterations_columns(
+    trace: ColumnarTrace, first: int, last: int, meta: dict
+) -> ColumnarTrace:
+    """Column-wise :func:`cut_iterations` (same events as the record path)."""
+    offsets = trace.offsets
+    kind = trace.kind
+    aux = trace.aux
+    opens = (kind == K_MARKER) & (aux >= 0)
+    # index of the latest iteration marker at or before each event; each
+    # rank's first event restarts the scan, so the initialization part
+    # of a rank never inherits the previous rank's iteration
+    latest = np.where(opens, np.arange(len(kind)), -1)
+    starts = offsets[:-1][offsets[1:] > offsets[:-1]]
+    latest[starts] = starts
+    np.maximum.accumulate(latest, out=latest)
+    current = np.where(opens[latest], aux[latest], -1)
+    keep = (current >= first) & (current <= last)
+    if not keep.any():
+        raise ValueError(
+            f"no records in iterations [{first}, {last}]; does the trace "
+            "carry iteration markers?"
+        )
+    kept_before = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    # waitall events keep their request-pool pointers, so the pool and
+    # the string table carry over whole
+    return ColumnarTrace(
+        nproc=trace.nproc,
+        meta=meta,
+        offsets=kept_before[offsets],
+        kind=kind[keep],
+        duration=trace.duration[keep],
+        beta=trace.beta[keep],
+        peer=trace.peer[keep],
+        tag=trace.tag[keep],
+        size=trace.size[keep],
+        req=trace.req[keep],
+        aux=aux[keep],
+        label=trace.label[keep],
+        collop=trace.collop[keep],
+        reqpool=trace.reqpool,
+        strings=trace.strings,
+    )
 
 
 def concat_traces(traces: Sequence[Trace]) -> Trace:

@@ -8,7 +8,11 @@ hypothesis driving the codec round-trips over adversarial streams
 (wildcard receives, per-burst β overrides, unicode phase labels).
 """
 
+import dataclasses
+import gc
 import io
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +250,15 @@ APP_SPECS = [
 ]
 
 
+def des_recorded(app):
+    """The DES oracle: the app recorded through a full simulation."""
+    trace = MpiSimulator(app.platform).run(
+        app.programs(), record_trace=True, meta={"name": app.name}
+    ).trace
+    trace.meta.setdefault("nproc", trace.nproc)
+    return trace
+
+
 class TestEmitterEquivalence:
     """emit_rank ≡ rank_program ≡ DES-recorded trace, per family."""
 
@@ -253,8 +266,8 @@ class TestEmitterEquivalence:
     def test_columnar_trace_matches_recorded(self, spec):
         app = build_app(spec, iterations=2)
         balancer = PowerAwareLoadBalancer(gear_set=uniform_gear_set(6))
-        recorded = balancer.trace_app(app)
-        ct = balancer.trace_app(app, columnar=True)
+        recorded = des_recorded(app)
+        ct = balancer.trace_app(app)
         assert isinstance(ct, ColumnarTrace)
         assert ct.meta == recorded.meta
         for rank in range(app.nproc):
@@ -320,11 +333,71 @@ class TestBalanceReportIdentity:
         app = build_app("CG-16", iterations=2)
         r_rec = PowerAwareLoadBalancer(
             uniform_gear_set(6), engine=engine
-        ).balance_app(app)
+        ).balance_trace(des_recorded(app))
         r_col = PowerAwareLoadBalancer(
             uniform_gear_set(6), engine=engine
-        ).balance_app(app, columnar=True)
+        ).balance_app(app)
         assert r_rec.to_json() == r_col.to_json()
+
+    def test_bus_world_report_byte_identical(self):
+        # bus contention replays on the DES only, so the two traces
+        # meet in the same engine with no compiled cross-check
+        bus = dataclasses.replace(MYRINET_LIKE, buses=2)
+        app = build_app("CG-16", iterations=2, platform=bus)
+        r_rec = PowerAwareLoadBalancer(
+            uniform_gear_set(6), platform=bus
+        ).balance_trace(des_recorded(app))
+        r_col = PowerAwareLoadBalancer(
+            uniform_gear_set(6), platform=bus
+        ).balance_app(app)
+        assert r_rec.to_json() == r_col.to_json()
+
+
+class TestTraceMemos:
+    """Balancing memoises compiled programs and baselines on the trace."""
+
+    @staticmethod
+    def cg16(storage, tmp_path):
+        ct = build_app("CG-16", iterations=2).columnar_trace()
+        if storage == "mmap":
+            ct.save(tmp_path / "cg.rpcs")
+            ct = ColumnarTrace.open(tmp_path / "cg.rpcs", mmap=True)
+        ct.meta.setdefault("nproc", ct.nproc)
+        return ct
+
+    @pytest.mark.parametrize("storage", ["memory", "mmap"])
+    def test_balanced_trace_freed_without_cyclic_gc(self, storage, tmp_path):
+        trace = self.cg16(storage, tmp_path)
+        balancer = PowerAwareLoadBalancer(uniform_gear_set(6))
+        gc.collect()
+        gc.disable()
+        try:
+            balancer.balance_trace(trace)
+            assert trace._compiled_cache and trace._baseline_cache
+            ref = weakref.ref(trace)
+            del trace
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("storage", ["memory", "mmap"])
+    def test_cached_program_still_cross_validates(self, storage, tmp_path):
+        from repro.netsim.compiled import CompiledReplayEngine
+
+        trace = self.cg16(storage, tmp_path)
+        program = CompiledReplayEngine(MYRINET_LIKE, MODEL).compile_trace(trace)
+        program.assert_equivalent([2.0] * trace.nproc)
+
+    @pytest.mark.parametrize("records", [False, True])
+    def test_pickle_size_unchanged_by_balancing(self, records):
+        balancer = PowerAwareLoadBalancer(uniform_gear_set(6))
+        trace = balancer.trace_app(build_app("CG-64", iterations=2))
+        if records:
+            trace = trace.to_trace()
+        before = len(pickle.dumps(trace))
+        balancer.balance_trace(trace)
+        assert trace._baseline_cache
+        assert len(pickle.dumps(trace)) == before
 
 
 class TestScaleCompute:
@@ -385,11 +458,10 @@ class TestPrvColumnar:
 class TestCliColumnar:
     def test_trace_command_writes_identical_file(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.traces.jsonio import write_trace
 
         rec_path = tmp_path / "rec.jsonl"
         col_path = tmp_path / "col.jsonl"
-        assert main(["trace", "CG-8", "-o", str(rec_path)]) == 0
-        assert main(
-            ["trace", "CG-8", "-o", str(col_path), "--columnar"]
-        ) == 0
+        write_trace(des_recorded(build_app("CG-8", iterations=6)), rec_path)
+        assert main(["trace", "CG-8", "-o", str(col_path)]) == 0
         assert rec_path.read_bytes() == col_path.read_bytes()

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.apps import build_app
 from repro.core.timemodel import BetaTimeModel
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.records import ComputeBurst, MarkerRecord, SendRecord
 from repro.traces.trace import Trace
 from repro.traces.transform import concat_traces, cut_iterations, scale_compute
@@ -113,6 +115,24 @@ class TestCutIterations:
         t = simple_trace()
         with pytest.raises(ValueError, match="iteration markers"):
             cut_iterations(t, 0, 0)
+
+    def test_columnar_markerless_trace_rejected(self):
+        t = ColumnarTrace.from_trace(simple_trace())
+        with pytest.raises(ValueError, match="iteration markers"):
+            cut_iterations(t, 0, 0)
+
+    @pytest.mark.parametrize("first,last", [(0, 0), (1, 1), (0, 1), (1, 2)])
+    def test_columnar_cut_matches_records(self, first, last):
+        # WRF has waitall requests and ranks whose markers sit mid-stream
+        rec = build_app("WRF-16", iterations=3).columnar_trace().to_trace()
+        for trace in (self.make_iter_trace(), rec):
+            want = cut_iterations(trace, first, last)
+            got = cut_iterations(ColumnarTrace.from_trace(trace), first, last)
+            assert isinstance(got, ColumnarTrace)
+            assert got.meta == want.meta
+            got.validate()
+            for rank in range(trace.nproc):
+                assert got.records_of(rank) == want[rank].records
 
 
 class TestConcat:
