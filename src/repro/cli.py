@@ -18,7 +18,6 @@ Also runnable as ``python -m repro``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Sequence
 
@@ -207,15 +206,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             beta=args.beta,
             drain_linger=args.drain_linger or 1.0,
-            peer_secret=args.peer_secret,
         )
         return asyncio.run(Supervisor(fleet).run())
 
     from repro.service.app import ServiceApp, ServiceConfig
 
-    peers = tuple(
-        p.strip() for p in (args.peers or "").split(",") if p.strip()
-    )
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -224,8 +219,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         iterations=args.iterations,
         beta=args.beta,
-        peers=peers,
-        peer_secret=args.peer_secret,
         drain_linger=args.drain_linger,
         replica_name=args.replica_name,
     )
@@ -627,8 +620,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_srv.add_argument(
         "--cache-dir",
-        help="persistent result cache directory "
-        "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+        help="persistent result cache directory; with --replicas every "
+        "replica shares it (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
     )
     p_srv.add_argument("--iterations", type=int, default=6)
     p_srv.add_argument("--beta", type=float, default=0.5)
@@ -637,19 +630,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="run a supervised fleet: N replica processes on adjacent "
         "ports behind a consistent-hash router on --port (default 0 = "
         "single process, no router)",
-    )
-    p_srv.add_argument(
-        "--peers",
-        help="comma-separated sibling replica addresses (host:port) for "
-        "read-through peer caching (set automatically by --replicas)",
-    )
-    p_srv.add_argument(
-        "--peer-secret",
-        default=os.environ.get("REPRO_PEER_SECRET"),
-        help="fleet-shared secret required on the /v1/cache blob "
-        "endpoints (default: $REPRO_PEER_SECRET; generated "
-        "automatically by --replicas). Without one, the endpoints only "
-        "exist when --peers is set — do not expose replica ports then.",
     )
     p_srv.add_argument(
         "--replica-name",

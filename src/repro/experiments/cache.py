@@ -72,12 +72,12 @@ _DIGEST_BYTES = 32
 #: these to report per-experiment stats without threading the handle
 #: through every ``run()`` signature).  ``corrupt`` counts the subset
 #: of ``misses`` caused by blobs that failed digest verification.
-#: ``peer_*`` counts read-through traffic against sibling replicas'
-#: caches (:mod:`repro.service.peercache`); zero outside a fleet.
-_PROCESS_STATS = {
-    "hits": 0, "misses": 0, "corrupt": 0, "stores": 0,
-    "peer_hits": 0, "peer_misses": 0, "peer_corrupt": 0,
-}
+_PROCESS_STATS = {"hits": 0, "misses": 0, "corrupt": 0, "stores": 0}
+
+#: :meth:`ResultCache.gc` leaves temp files younger than this alone:
+#: they belong to a ``put`` that may still be writing and is about to
+#: rename them into place.  Older ones are leftovers of dead writers.
+_TMP_GRACE_SECONDS = 3600.0
 
 
 def process_cache_stats() -> dict[str, int]:
@@ -171,11 +171,9 @@ def frame_blob(body: bytes) -> bytes:
 def unframe_blob(raw: bytes) -> bytes | None:
     """The verified pickle body of a framed blob; ``None`` if torn.
 
-    This is the integrity gate of the peer-cache protocol: a blob
-    fetched over HTTP from another replica re-verifies magic and body
-    digest before anything is unpickled or written to local disk, so a
-    truncated transfer (or a torn write on the peer) can never poison
-    a cache directory.
+    Every read re-verifies magic and body digest before anything is
+    unpickled, so a truncated or bit-rotten blob is a miss, never a
+    wrong result.
     """
     header = len(_BLOB_MAGIC) + _DIGEST_BYTES
     if len(raw) < header or raw[: len(_BLOB_MAGIC)] != _BLOB_MAGIC:
@@ -224,7 +222,11 @@ class ResultCache:
 
         Every blob's body digest is re-verified on read; a blob that
         fails framing, digest or unpickling counts in both ``misses``
-        and ``corrupt`` (cold misses = ``misses - corrupt``).
+        and ``corrupt`` (cold misses = ``misses - corrupt``) and is
+        unlinked, so each corrupt blob is counted once, not once per
+        reader.  Should a concurrent ``put`` have just replaced it with
+        a good blob, that one goes too: a recompute, never a wrong
+        answer.
         """
         path = self._path(self.key(kind, payload))
         try:
@@ -239,6 +241,8 @@ class ResultCache:
             return None
         value = self._decode(raw)
         if value is None:
+            with contextlib.suppress(OSError):
+                path.unlink()
             self.misses += 1
             self.corrupt += 1
             _PROCESS_STATS["misses"] += 1
@@ -249,45 +253,19 @@ class ResultCache:
         return value
 
     def put(self, kind: str, payload: Any, value: Any) -> Path:
-        """Atomically persist ``value``; concurrent writers are safe."""
-        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return self.put_raw(self.key(kind, payload), frame_blob(body))
-
-    # ------------------------------------------------------------------
-    # raw (framed) blob access — the peer-cache wire format
-    def get_raw(self, key: str) -> bytes | None:
-        """The framed blob for ``key`` verbatim, or ``None``.
-
-        Serves ``GET /v1/cache/{key}``: the wire format *is* the disk
-        format (magic + digest + pickle body), so the fetching replica
-        can verify integrity without unpickling.  A blob that fails
-        verification here is treated as absent — never shipped.
-        """
-        try:
-            raw = self._path(key).read_bytes()
-        except OSError:
-            return None
-        if unframe_blob(raw) is None:
-            return None
-        return raw
-
-    def put_raw(self, key: str, blob: bytes) -> Path:
-        """Atomically store an already-framed blob under ``key``.
+        """Atomically persist ``value``; concurrent writers are safe.
 
         Temp-file + ``os.replace`` on the same filesystem: a concurrent
-        reader (or a peer-cache ``GET`` walking in over HTTP) sees
-        either no file or the complete frame, never a torn blob.
-        Raises ``ValueError`` if the frame does not verify — a peer
-        ``PUT`` of a truncated body must not land on disk.
+        reader (another replica of a fleet sharing the directory, say)
+        sees either no file or the complete frame, never a torn blob.
         """
-        if unframe_blob(blob) is None:
-            raise ValueError(f"blob for {key!r} fails frame verification")
-        path = self._path(key)
+        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        path = self._path(self.key(kind, payload))
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
+                fh.write(frame_blob(body))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -340,8 +318,9 @@ class ResultCache:
         }
 
     def gc(self, max_age_days: float) -> dict[str, int]:
-        """Drop blobs not touched for ``max_age_days``; stray temp files
-        always go.  Returns ``{"removed": n, "freed_bytes": n}``.
+        """Drop blobs not touched for ``max_age_days`` and temp files
+        older than :data:`_TMP_GRACE_SECONDS` (younger ones may belong
+        to a live ``put``).  Returns ``{"removed": n, "freed_bytes": n}``.
 
         Safe against concurrent writers — in a replica fleet several
         processes share (or maintain) a directory, so any file may
@@ -364,14 +343,17 @@ class ResultCache:
                 continue
             removed += 1
             freed += stat.st_size
+        tmp_cutoff = time.time() - _TMP_GRACE_SECONDS
         for tmp in self._tmp_files():
             try:
-                size = tmp.stat().st_size
+                stat = tmp.stat()
+                if stat.st_mtime >= tmp_cutoff:
+                    continue
                 tmp.unlink()
             except OSError:
                 continue  # a writer renamed/cleaned it first
             removed += 1
-            freed += size
+            freed += stat.st_size
         return {"removed": removed, "freed_bytes": freed}
 
     def clear(self) -> int:

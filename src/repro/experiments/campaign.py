@@ -82,8 +82,7 @@ def run_one_experiment(eid: str, config: RunnerConfig) -> dict[str, Any]:
     payload["seconds"] = time.perf_counter() - start
     payload["cache"] = {
         k: after[k] - before[k]
-        for k in ("hits", "misses", "corrupt",
-                  "peer_hits", "peer_misses", "peer_corrupt")
+        for k in ("hits", "misses", "corrupt")
     }
     payload["engines"] = {
         k: round(engines_after[k] - engines_before[k], 6)
@@ -114,9 +113,7 @@ def _collect(ids, config, jobs):
                     "ok": False,
                     "error": traceback.format_exc(),
                     "seconds": 0.0,
-                    "cache": {"hits": 0, "misses": 0, "corrupt": 0,
-                              "peer_hits": 0, "peer_misses": 0,
-                              "peer_corrupt": 0},
+                    "cache": {"hits": 0, "misses": 0, "corrupt": 0},
                     "engines": dict.fromkeys(ENGINE_STAT_KEYS, 0),
                 }
 
@@ -183,8 +180,7 @@ def reproduce_all(
     from repro.netsim.enginestats import ENGINE_STAT_KEYS, engine_rates
 
     wall_start = time.perf_counter()
-    cache_totals = {"hits": 0, "misses": 0, "corrupt": 0,
-                    "peer_hits": 0, "peer_misses": 0, "peer_corrupt": 0}
+    cache_totals = {"hits": 0, "misses": 0, "corrupt": 0}
     engine_totals: dict[str, float] = dict.fromkeys(ENGINE_STAT_KEYS, 0)
     errors = 0
     for payload in _collect(ids, config, jobs):

@@ -59,8 +59,8 @@ __all__ = ["ServiceApp", "ServiceConfig"]
 log = logging.getLogger("repro.service")
 
 _REASONS = {
-    200: "OK", 202: "Accepted", 400: "Bad Request", 403: "Forbidden",
-    404: "Not Found", 405: "Method Not Allowed", 413: "Payload Too Large",
+    200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -90,15 +90,6 @@ class ServiceConfig:
     beta: float = 0.5
     #: How long finished async jobs stay pollable.
     job_ttl_seconds: float = 3600.0
-    #: Sibling replicas (``host:port``, ...) probed read-through on a
-    #: local cache miss before any simulation is admitted.
-    peers: tuple[str, ...] = ()
-    #: Fleet-shared secret gating the ``/v1/cache/{key}`` blob
-    #: endpoints (``x-repro-peer-secret`` header).  The supervisor
-    #: generates one per fleet; without it the endpoints only exist at
-    #: all when ``peers`` is set, and replica ports must then not be
-    #: exposed beyond the fleet host.
-    peer_secret: str | None = None
     #: How long a draining replica keeps answering GETs (job polls,
     #: health) after its last admitted job finished, so 202-polling
     #: clients observe terminal states before the process exits.
@@ -112,19 +103,10 @@ class ServiceApp:
 
     def __init__(self, config: ServiceConfig | None = None, executor=None):
         from repro.experiments.cache import ResultCache, default_cache_dir
-        from repro.service.peercache import PeerResultCache
 
         self.config = config or ServiceConfig()
         cache_dir = self.config.cache_dir or str(default_cache_dir())
         self.cache = ResultCache(cache_dir)
-        #: Read-through fleet layer over :attr:`cache`; None solo.
-        self.peer_cache: PeerResultCache | None = (
-            PeerResultCache(
-                self.cache, self.config.peers,
-                secret=self.config.peer_secret,
-            )
-            if self.config.peers else None
-        )
         self.queue = AdmissionController(
             self.config.queue_limit, self.config.workers
         )
@@ -144,7 +126,6 @@ class ServiceApp:
         self._active_requests = 0
         self._conn_tasks: set[asyncio.Task] = set()
         self._job_tasks: set[asyncio.Task] = set()
-        self._push_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # Metrics
@@ -295,23 +276,6 @@ class ServiceApp:
             "draining).",
             fn=lambda: 1.0 if self.ready else 0.0,
         )
-        for key, help_text in (
-            ("hits", "Local misses served by a sibling replica's cache "
-             "(read-through)."),
-            ("misses", "Read-through probes no peer could answer."),
-            ("corrupt", "Peer blobs dropped by frame/digest verification."),
-            ("errors", "Peer-cache transport failures (timeouts, refused "
-             "connections, rejected pushes)."),
-            ("pushes", "Blobs pushed back to their ring owner after a "
-             "forwarded request."),
-        ):
-            m.counter(
-                f"repro_service_peer_cache_{key}_total",
-                help_text,
-                fn=lambda key=key: float(
-                    self.peer_cache.stats()[f"peer_{key}"]
-                ) if self.peer_cache is not None else 0.0,
-            )
 
     def _hit_ratio(self) -> float:
         hits = (
@@ -332,48 +296,24 @@ class ServiceApp:
         return cache_identity(kind, spec)
 
     def _cache_fetch(self, kind: str, cache_kind: str, payload: Any):
-        """Blocking fast-path lookup (runs in a thread).
-
-        Returns ``(value, source)``: source is ``"hit"`` for the local
-        disk cache, ``"peer"`` for a read-through fill from a sibling
-        replica, and the pair is ``(None, None)`` on a fleet-wide miss.
-        """
-        if self.peer_cache is not None:
-            value, source = self.peer_cache.fetch(cache_kind, payload)
-        else:
-            value = self.cache.get(cache_kind, payload)
-            source = "hit" if value is not None else None
-        if value is None:
-            return None, None
-        if kind == "balance":
-            return value.to_json(), source
-        return value, source
+        """Blocking fast-path lookup (runs in a thread); None on a miss."""
+        value = self.cache.get(cache_kind, payload)
+        if value is not None and kind == "balance":
+            return value.to_json()
+        return value
 
     def _cache_store(self, cache_kind: str, payload: Any, value: Any) -> None:
         if cache_kind in ("service-exp", "balance-batch"):
             # scalar balance results are stored by the worker's Runner
             self.cache.put(cache_kind, payload, value)
 
-    def _push_to_owner(self, key: str, owner: str) -> None:
-        """Warm the ring owner after computing a forwarded request."""
-        assert self.peer_cache is not None
-        self.peer_cache.push(key, owner)
-
-    async def perform(
-        self,
-        kind: str,
-        spec: dict[str, Any],
-        forward_origin: str | None = None,
-    ):
+    async def perform(self, kind: str, spec: dict[str, Any]):
         """Serve one compute request; returns ``(result, cache_state)``.
 
-        ``cache_state`` is ``hit`` (served from local disk), ``peer``
-        (read through a sibling replica's cache), ``miss`` (a worker
-        simulated it) or ``coalesced`` (piggybacked on an identical
-        in-flight request).  ``forward_origin`` is the ring owner's
-        address when the front router served this request off-ring;
-        a computed miss is then pushed back to the owner so the ring
-        converges to all-hits.
+        ``cache_state`` is ``hit`` (served from the on-disk cache, which
+        every replica of a fleet shares), ``miss`` (a worker simulated
+        it) or ``coalesced`` (piggybacked on an identical in-flight
+        request).
         """
         if self._draining:
             raise ShuttingDown()
@@ -381,12 +321,12 @@ class ServiceApp:
         key = self.cache.key(cache_kind, payload)
 
         async def leader():
-            found, source = await asyncio.to_thread(
+            found = await asyncio.to_thread(
                 self._cache_fetch, kind, cache_kind, payload
             )
             if found is not None:
                 self.fast_hits_total.inc(kind=kind)
-                return found, source
+                return found, "hit"
             self.queue.acquire()
             start = time.perf_counter()
             try:
@@ -407,15 +347,6 @@ class ServiceApp:
             await asyncio.to_thread(
                 self._cache_store, cache_kind, payload, result
             )
-            if forward_origin and self.peer_cache is not None:
-                # fire-and-forget: the response must not wait on a peer
-                task = asyncio.get_running_loop().create_task(
-                    asyncio.to_thread(
-                        self._push_to_owner, key, forward_origin
-                    )
-                )
-                self._push_tasks.add(task)
-                task.add_done_callback(self._push_tasks.discard)
             return result, "miss"
 
         (result, state), led = await self.flight.do(key, leader)
@@ -486,9 +417,6 @@ class ServiceApp:
         }
         if self.config.replica_name:
             payload["replica"] = self.config.replica_name
-        if self.peer_cache is not None:
-            payload["peers"] = list(self.config.peers)
-            payload["peer_cache"] = self.peer_cache.stats()
         return payload
 
     # ------------------------------------------------------------------
@@ -622,10 +550,9 @@ class ServiceApp:
         self.port = self._server.sockets[0].getsockname()[1]
         self._started = time.time()
         log.info(
-            "serving on http://%s:%d (workers=%d queue=%d cache=%s peers=%s)",
+            "serving on http://%s:%d (workers=%d queue=%d cache=%s)",
             self.config.host, self.port, self.config.workers,
             self.config.queue_limit, self.cache.cache_dir,
-            ",".join(self.config.peers) or "-",
         )
         asyncio.get_running_loop().create_task(self._warmup())
         return self.port
@@ -666,8 +593,6 @@ class ServiceApp:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._push_tasks:
-            await asyncio.gather(*self._push_tasks, return_exceptions=True)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:

@@ -56,14 +56,9 @@ class ServiceClient:
 
     def request(
         self, method: str, path: str, payload: dict[str, Any] | None = None,
-        headers: dict[str, str] | None = None, raw: bytes | None = None,
+        headers: dict[str, str] | None = None,
     ) -> ServiceResponse:
-        if raw is not None:
-            body: bytes | None = raw
-        else:
-            body = (
-                json.dumps(payload).encode() if payload is not None else None
-            )
+        body = json.dumps(payload).encode() if payload is not None else None
         conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
             conn.request(method, path, body=body, headers=headers or {})
@@ -85,26 +80,6 @@ class ServiceClient:
 
     def metrics(self) -> str:
         return self.request("GET", "/metrics").text
-
-    def cache_get(
-        self, key: str, secret: str | None = None
-    ) -> ServiceResponse:
-        """Fetch one framed cache blob (peer-cache wire protocol)."""
-        headers = {}
-        if secret is not None:
-            headers["X-Repro-Peer-Secret"] = secret
-        return self.request("GET", f"/v1/cache/{key}", headers=headers)
-
-    def cache_put(
-        self, key: str, blob: bytes, secret: str | None = None
-    ) -> ServiceResponse:
-        """Store one framed cache blob (peer-cache wire protocol)."""
-        headers = {"Content-Type": "application/octet-stream"}
-        if secret is not None:
-            headers["X-Repro-Peer-Secret"] = secret
-        return self.request(
-            "PUT", f"/v1/cache/{key}", raw=blob, headers=headers,
-        )
 
     def balance(self, **fields: Any) -> ServiceResponse:
         return self.request("POST", "/v1/balance", payload=fields)

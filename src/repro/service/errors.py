@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any
 
 __all__ = [
-    "Forbidden",
     "InternalError",
     "LintRejected",
     "NotFound",
@@ -83,13 +82,6 @@ class LintRejected(ServiceError):
             "see detail.diagnostics",
             detail,
         )
-
-
-class Forbidden(ServiceError):
-    """The request lacks the credential an internal endpoint requires."""
-
-    status = 403
-    code = "forbidden"
 
 
 class NotFound(ServiceError):

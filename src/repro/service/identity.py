@@ -4,7 +4,7 @@ One validated request spec maps to exactly one ``(cache kind, payload)``
 pair, and through :func:`repro.experiments.cache.cache_key` to one
 SHA-256 digest.  That digest is simultaneously
 
-* the result-cache blob name (disk and peer-cache protocol),
+* the result-cache blob name on disk,
 * the single-flight coalescing key inside one replica, and
 * the consistent-hash ring key the front router places the request
   with (:mod:`repro.service.router`) — which is what makes coalescing

@@ -10,21 +10,21 @@ placed on a consistent-hash ring over the ready replicas::
     client ──▶ router ──digest──▶ ring ──▶ owning replica
                   │                           │ coalesce + cache
                   │ owner busy / no digest    ▼
-                  └────▶ least-loaded (+ X-Repro-Forwarded-From)
+                  └────▶ least-loaded replica
 
 Because the ring key *is* the cache key *is* the single-flight key,
-identical bodies always land on the same replica: the fleet computes
-each distinct request once, and each replica's disk cache holds its
-ring partition — coalescing and the warm cache become fleet-wide
-properties instead of per-process ones.
+identical bodies always land on the same replica, so in-process
+single-flight coalescing becomes a fleet-wide property.  Every replica
+reads and writes the one on-disk result cache the supervisor hands the
+whole fleet (``--cache-dir``), so a result computed anywhere is a hit
+everywhere.
 
 Fallbacks keep the ring an optimization, not a constraint: bodies with
 no computable digest (invalid JSON gets its canonical 400 from a
 replica; job polls have no body) and hot keys whose owner is saturated
-go to the least-loaded ready replica.  Off-ring placements carry
-``X-Repro-Forwarded-From: <owner host:port>`` so the handling replica
-pushes the computed blob back to the owner (peer-cache PUT) and the
-ring converges back to all-hits.
+go to the least-loaded ready replica.  A spilled miss lands in the
+shared cache directory like any other, so the owner serves it as a hit
+next time.
 
 Ring membership follows replica *readiness* (``/healthz``), polled in
 the background: a warming, draining or dead replica leaves the ring
@@ -49,10 +49,9 @@ from typing import Any, Callable
 
 from repro.service import routes as _routes
 from repro.service.app import _REASONS, ServiceConfig
-from repro.service.errors import NotFound, ServiceError, ValidationError
+from repro.service.errors import ServiceError, ValidationError
 from repro.service.metrics import MetricsRegistry, merge_expositions
 from repro.service.routes import (
-    FORWARDED_FROM_HEADER,
     HttpRequest,
     Response,
     error_response,
@@ -139,8 +138,7 @@ class RouterConfig:
     #: Per-hop timeout for proxied requests (covers a cold simulation).
     timeout: float = 300.0
     #: In-flight requests on the ring owner beyond which a key is
-    #: "hot" and spills to the least-loaded replica (off-ring, with a
-    #: forwarded-from header).
+    #: "hot" and spills to the least-loaded replica (off-ring).
     hot_threshold: int = 32
     #: Virtual nodes per replica on the hash ring.
     vnodes: int = 64
@@ -196,8 +194,7 @@ class FrontRouter:
         )
         self.forwarded_total = m.counter(
             "repro_router_forwarded_total",
-            "Requests spilled off-ring (hot key or unready owner) with "
-            "a forwarded-from header.",
+            "Requests spilled off-ring (hot key or unready owner).",
         )
         self.unroutable_total = m.counter(
             "repro_router_unroutable_total",
@@ -358,36 +355,34 @@ class FrontRouter:
             return None
         return min(ready, key=lambda s: s.inflight)
 
-    def _place(
-        self, request: HttpRequest
-    ) -> tuple[_ReplicaState | None, str | None]:
-        """(target replica, forwarded-from owner addr or None)."""
+    def _place(self, request: HttpRequest) -> _ReplicaState | None:
+        """The replica that serves ``request`` (None: none is ready)."""
         is_compute = request.method == "POST" and (
             request.path == "/v1/balance"
             or request.path.startswith("/v1/experiments/")
         )
         if not is_compute:
-            return self._least_loaded(), None
+            return self._least_loaded()
         digest = self._routing_digest(request)
         if digest is None:
             self.unroutable_total.inc()
-            return self._least_loaded(), None
+            return self._least_loaded()
         owner_addr = self.ring.lookup(digest)
         if owner_addr is None:
-            return None, None
+            return None
         owner = self.replicas[owner_addr]
         if owner.ready and owner.inflight < self.config.hot_threshold:
             self.routed_total.inc()
-            return owner, None
+            return owner
         # hot key (or owner dropped out between lookup and now): spill
-        # to the least-loaded replica, telling it who the owner is so
-        # the computed blob is pushed back onto the ring
+        # to the least-loaded replica; its result lands in the shared
+        # cache directory, where the owner finds it next time
         fallback = self._least_loaded()
         if fallback is None or fallback.addr == owner_addr:
             self.routed_total.inc()
-            return owner if owner.ready else fallback, None
+            return owner if owner.ready else fallback
         self.forwarded_total.inc()
-        return fallback, owner_addr
+        return fallback
 
     # ------------------------------------------------------------------
     # Upstream proxying
@@ -451,16 +446,13 @@ class FrontRouter:
                 await writer.wait_closed()
 
     async def _proxy(
-        self, state: _ReplicaState, request: HttpRequest,
-        extra_headers: dict[str, str] | None = None,
+        self, state: _ReplicaState, request: HttpRequest
     ) -> Response:
         headers = {
             k: v for k, v in request.headers.items()
             if k not in _HOP_HEADERS
         }
         headers["x-request-id"] = request.request_id
-        if extra_headers:
-            headers.update(extra_headers)
         state.inflight += 1
         try:
             status, up_headers, body = await asyncio.wait_for(
@@ -596,18 +588,7 @@ class FrontRouter:
             return await self._fleet_metrics(), "metrics"
         if request.method == "GET" and request.path.startswith("/v1/jobs/"):
             return await self._fanout_job(request), "job"
-        if (
-            request.path == "/v1/cache"
-            or request.path.startswith("/v1/cache/")
-        ):
-            # the peer-cache blob protocol is fleet-internal: never
-            # proxy it for clients, who could otherwise read or poison
-            # replica caches (pickled blobs) through the public port
-            return error_response(
-                NotFound(f"no route for {request.method} {request.path}")
-            ), "cache"
-
-        target, owner_addr = self._place(request)
+        target = self._place(request)
         if target is None:
             return json_response(
                 503,
@@ -617,10 +598,7 @@ class FrontRouter:
                 }},
                 {"Retry-After": "1"},
             ), "proxy"
-        extra = None
-        if owner_addr is not None:
-            extra = {FORWARDED_FROM_HEADER: owner_addr}
-        return await self._proxy(target, request, extra), "proxy"
+        return await self._proxy(target, request), "proxy"
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.service.errors import (
-    Forbidden,
     LintRejected,
     NotFound,
     ServiceError,
@@ -47,19 +46,6 @@ __all__ = [
 #: Cap accepted request bodies (a platform dict is < 1 KiB; 1 MiB is
 #: generous and keeps a hostile client from ballooning the heap).
 MAX_BODY_BYTES = 1 << 20
-
-#: Set by the front router when a request is served off-ring (hot-key
-#: or unhealthy-owner fallback).  The value is the ring owner's
-#: ``host:port``; the handling replica pushes the computed blob there
-#: so the ring converges back to all-hits.
-FORWARDED_FROM_HEADER = "x-repro-forwarded-from"
-
-#: Fleet-shared credential for the peer-cache blob endpoints.  The
-#: supervisor generates one per fleet and hands it to every replica
-#: (via ``REPRO_PEER_SECRET`` in the environment, never argv); cache
-#: GET/PUT without a matching header is refused, so a client that can
-#: reach a replica port still cannot read or poison cached blobs.
-PEER_SECRET_HEADER = "x-repro-peer-secret"
 
 _BALANCE_KEYS = {
     "app", "gears", "algorithm", "beta", "iterations", "base_compute",
@@ -566,10 +552,7 @@ async def handle_balance(
             {"job": {"id": job.id, "status": job.status,
                      "poll": f"/v1/jobs/{job.id}"}},
         )
-    result, cache_state = await app.perform(
-        kind, spec,
-        forward_origin=request.headers.get(FORWARDED_FROM_HEADER),
-    )
+    result, cache_state = await app.perform(kind, spec)
     return json_response(200, result, {"X-Cache": cache_state})
 
 
@@ -586,10 +569,7 @@ async def handle_experiment(
             {"job": {"id": job.id, "status": job.status,
                      "poll": f"/v1/jobs/{job.id}"}},
         )
-    result, cache_state = await app.perform(
-        "experiment", spec,
-        forward_origin=request.headers.get(FORWARDED_FROM_HEADER),
-    )
+    result, cache_state = await app.perform("experiment", spec)
     return json_response(200, result, {"X-Cache": cache_state})
 
 
@@ -601,67 +581,6 @@ async def handle_job(
         raise NotFound(f"no such job {params['job_id']!r} (expired or never "
                        "created)")
     return json_response(200, {"job": job.to_payload()})
-
-
-# ----------------------------------------------------------------------
-# Peer-cache blob protocol (fleet-internal).  Defence in depth: the
-# front router refuses to route /v1/cache/* at all, a solo replica
-# answers 404 as if the routes did not exist, and a fleet replica
-# demands the shared secret — a reachable replica port alone is never
-# enough to read or poison cached blobs (which are pickled on disk).
-# ----------------------------------------------------------------------
-
-def _peer_cache_gate(app: "ServiceApp", request: HttpRequest) -> None:
-    """Authorize one peer-cache request, or raise 404/403."""
-    import hmac
-
-    secret = app.config.peer_secret
-    if not secret and not app.config.peers:
-        raise NotFound(f"no route for {request.method} {request.path}")
-    if secret:
-        given = request.headers.get(PEER_SECRET_HEADER, "")
-        if not hmac.compare_digest(given.encode(), secret.encode()):
-            raise Forbidden(
-                "peer-cache endpoints require the fleet secret "
-                f"({PEER_SECRET_HEADER} header)"
-            )
-
-
-async def handle_cache_get(
-    app: "ServiceApp", request: HttpRequest, params: dict[str, str]
-) -> Response:
-    import asyncio
-
-    from repro.service.peercache import valid_cache_key
-
-    _peer_cache_gate(app, request)
-    key = params["key"]
-    if not valid_cache_key(key):
-        raise ValidationError(f"malformed cache key {key!r}")
-    blob = await asyncio.to_thread(app.cache.get_raw, key)
-    if blob is None:
-        raise NotFound(f"no blob {key!r}")
-    return Response(200, blob, "application/octet-stream")
-
-
-async def handle_cache_put(
-    app: "ServiceApp", request: HttpRequest, params: dict[str, str]
-) -> Response:
-    import asyncio
-
-    from repro.service.peercache import valid_cache_key
-
-    _peer_cache_gate(app, request)
-    key = params["key"]
-    if not valid_cache_key(key):
-        raise ValidationError(f"malformed cache key {key!r}")
-    try:
-        await asyncio.to_thread(app.cache.put_raw, key, request.body)
-    except ValueError as exc:
-        # a torn frame must never land on disk — reject loudly so the
-        # pushing side counts it
-        raise ValidationError(str(exc)) from None
-    return json_response(200, {"stored": key, "bytes": len(request.body)})
 
 
 #: (method, compiled path pattern, route name, handler).
@@ -676,10 +595,6 @@ ROUTES = (
      "experiment", handle_experiment),
     ("GET", re.compile(r"^/v1/jobs/(?P<job_id>[A-Za-z0-9_\-]+)$"), "job",
      handle_job),
-    ("GET", re.compile(r"^/v1/cache/(?P<key>[A-Za-z0-9_\-]+)$"), "cache-get",
-     handle_cache_get),
-    ("PUT", re.compile(r"^/v1/cache/(?P<key>[A-Za-z0-9_\-]+)$"), "cache-put",
-     handle_cache_put),
 )
 
 

@@ -6,17 +6,16 @@ One supervisor process owns the whole fleet shape::
       ├── FrontRouter          client-facing port (consistent-hash)
       ├── replica-0            repro serve subprocess, port+1
       ├── replica-1            repro serve subprocess, port+2
-      └── ...                  each: own worker pool + cache partition
+      └── ...                  each: own worker pool, shared cache root
 
 Replicas are real ``repro serve`` subprocesses on adjacent ports —
 separate interpreters, so N replicas are N event loops *and* N GILs,
-which is where fleet throughput on the warm path comes from.  Each
-replica gets a private cache partition (``<cache>/replica-i``), the
-sibling list as ``--peers``, and a fleet-generated peer-cache secret
-(via ``REPRO_PEER_SECRET`` in the environment, never argv), so the
-partitions behave as one fleet cache through the read-through peer
-protocol while the blob endpoints stay closed to anything that is not
-a fleet member.
+which is where fleet throughput on the warm path comes from.  Every
+replica gets the same ``--cache-dir``: the fleet shares one on-disk
+result cache, so a result computed by any replica is a hit on all of
+them.  :class:`~repro.experiments.cache.ResultCache` writes blobs
+atomically (temp file + rename) and verifies each one's digest on
+read, so concurrent replicas need no further coordination.
 
 Supervision policy:
 
@@ -40,7 +39,6 @@ import asyncio
 import contextlib
 import logging
 import os
-import secrets
 import signal
 import socket
 import subprocess
@@ -76,7 +74,7 @@ class FleetConfig:
     #: Worker processes *per replica*.
     workers: int = 2
     queue_limit: int = 16
-    #: Cache root; replica ``i`` uses ``<cache_dir>/replica-i``.
+    #: Result-cache directory shared by every replica.
     cache_dir: str | None = None
     iterations: int = 6
     beta: float = 0.5
@@ -85,9 +83,6 @@ class FleetConfig:
     #: Seconds a replica gets to drain on SIGTERM before SIGKILL.
     drain_timeout: float = 60.0
     hot_threshold: int = 32
-    #: Fleet-shared secret gating the replica ``/v1/cache`` blob
-    #: endpoints; ``None`` generates a fresh one per fleet.
-    peer_secret: str | None = None
 
 
 def _free_adjacent_ports(host: str, base: int, count: int) -> list[int]:
@@ -121,17 +116,11 @@ def _free_adjacent_ports(host: str, base: int, count: int) -> list[int]:
 class ReplicaProcess:
     """One supervised ``repro serve`` subprocess."""
 
-    def __init__(
-        self, name: str, host: str, port: int, argv: list[str],
-        env_extra: dict[str, str] | None = None,
-    ):
+    def __init__(self, name: str, host: str, port: int, argv: list[str]):
         self.name = name
         self.host = host
         self.port = port
         self.argv = argv
-        #: Extra environment for the subprocess — the peer-cache secret
-        #: travels here, not in argv, so it never shows up in ``ps``.
-        self.env_extra = env_extra or {}
         self.proc: subprocess.Popen | None = None
         self.restarts = 0
         self._backoff_idx = 0
@@ -156,7 +145,6 @@ class ReplicaProcess:
             env["PYTHONPATH"] = (
                 src_dir + (os.pathsep + existing if existing else "")
             )
-        env.update(self.env_extra)
         # own session: the replica and its worker pool form a process
         # group the supervisor can nuke wholesale if a drain stalls
         self.proc = subprocess.Popen(
@@ -209,7 +197,6 @@ class Supervisor:
 
         self.config = config
         self.cache_root = Path(config.cache_dir or default_cache_dir())
-        self.peer_secret = config.peer_secret or secrets.token_hex(16)
         ports = _free_adjacent_ports(
             config.host, config.port, config.replicas
         )
@@ -217,27 +204,19 @@ class Supervisor:
         addrs = [f"{config.host}:{p}" for p in ports]
         for i, port in enumerate(ports):
             name = f"replica-{i}"
-            peers = [a for a in addrs if a != f"{config.host}:{port}"]
             argv = [
                 sys.executable, "-m", "repro", "serve",
                 "--host", config.host,
                 "--port", str(port),
                 "--workers", str(config.workers),
                 "--queue-limit", str(config.queue_limit),
-                "--cache-dir", str(self.cache_root / name),
+                "--cache-dir", str(self.cache_root),
                 "--iterations", str(config.iterations),
                 "--beta", str(config.beta),
                 "--replica-name", name,
                 "--drain-linger", str(config.drain_linger),
             ]
-            if peers:
-                argv += ["--peers", ",".join(peers)]
-            self.replicas.append(
-                ReplicaProcess(
-                    name, config.host, port, argv,
-                    env_extra={"REPRO_PEER_SECRET": self.peer_secret},
-                )
-            )
+            self.replicas.append(ReplicaProcess(name, config.host, port, argv))
         self.router = FrontRouter(
             RouterConfig(
                 host=config.host,

@@ -12,7 +12,11 @@ import json
 import pytest
 
 from repro.core.gears import uniform_gear_set
-from repro.experiments.cache import ResultCache, describe_gear_set
+from repro.experiments.cache import (
+    _TMP_GRACE_SECONDS,
+    ResultCache,
+    describe_gear_set,
+)
 from repro.experiments.campaign import reproduce_all
 from repro.experiments.runner import Runner, RunnerConfig
 
@@ -123,6 +127,18 @@ class TestCorruption:
         assert cache.get("report", {"k": 1}) is None
         assert cache.corrupt == 1
 
+    def test_corrupt_blob_is_counted_once(self, tmp_path):
+        """The first reader drops a corrupt blob; later readers (other
+        replicas or workers sharing the directory) see a cold miss."""
+        first = ResultCache(tmp_path)
+        path = first.put("report", {"k": 1}, {"v": 2})
+        path.write_bytes(path.read_bytes()[:-1])
+        assert first.get("report", {"k": 1}) is None
+        assert first.corrupt == 1 and not path.exists()
+        second = ResultCache(tmp_path)
+        assert second.get("report", {"k": 1}) is None
+        assert (second.misses, second.corrupt) == (1, 0)
+
     def test_missing_dir_is_created_lazily(self, tmp_path):
         cache = ResultCache(tmp_path / "does" / "not" / "exist")
         assert cache.get("report", {"k": 1}) is None
@@ -156,12 +172,38 @@ class TestDiskMaintenance:
         assert not old.exists() and new.exists()
 
     def test_gc_sweeps_stray_tmp_files(self, tmp_path):
+        import os
+        import time
+
         cache = ResultCache(tmp_path)
         cache.put("report", {"a": 1}, {"x": 1})
-        (tmp_path / "leftover.tmp").write_bytes(b"half-written")
+        leftover = tmp_path / "leftover.tmp"
+        leftover.write_bytes(b"half-written")
+        stale = time.time() - 2 * _TMP_GRACE_SECONDS
+        os.utime(leftover, (stale, stale))
         out = cache.gc(max_age_days=365)
         assert out["removed"] == 1
         assert cache.entry_count() == 1
+
+    def test_gc_spares_temp_files_of_live_writers(self, tmp_path):
+        """A fresh temp file belongs to a ``put`` that has not renamed
+        it into place yet; sweeping it would make that rename fail."""
+        import os
+        import tempfile
+        import time
+
+        cache = ResultCache(tmp_path)
+        fd, live = tempfile.mkstemp(dir=tmp_path, suffix=".tmp")
+        os.close(fd)
+        assert cache.gc(max_age_days=0) == {"removed": 0, "freed_bytes": 0}
+        os.replace(live, tmp_path / "landed.pkl")  # the writer finishes
+
+        fd, dead = tempfile.mkstemp(dir=tmp_path, suffix=".tmp")
+        os.close(fd)
+        stale = time.time() - _TMP_GRACE_SECONDS - 60
+        os.utime(dead, (stale, stale))
+        cache.gc(max_age_days=365)
+        assert not os.path.exists(dead)
 
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -232,6 +274,48 @@ class TestConcurrentMaintenance:
         assert cache.clear() == 0
         assert cache.entry_count() == 0
 
+    def test_puts_survive_concurrent_gc(self, tmp_path):
+        """Fleet replicas writing one directory while ``repro cache gc``
+        sweeps it: no ``put`` loses its temp file, no read is wrong."""
+        import sys
+        import threading
+
+        cache = ResultCache(tmp_path)
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            writer_cache = ResultCache(tmp_path)
+            for i in range(150):
+                try:
+                    writer_cache.put("report", {"i": i % 10}, {"x": i % 10})
+                    got = writer_cache.get("report", {"i": i % 10})
+                    assert got in (None, {"x": i % 10}), got
+                except Exception as exc:  # collected for the main thread
+                    errors.append(exc)
+
+        def sweeper():
+            while not stop.is_set():
+                cache.gc(max_age_days=0)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sweep = threading.Thread(target=sweeper)
+            writers = [threading.Thread(target=writer) for _ in range(6)]
+            sweep.start()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=60)
+            stop.set()
+            sweep.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not sweep.is_alive()
+        assert not any(t.is_alive() for t in writers)
+        assert errors == []
+
     def test_concurrent_clears_never_raise(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -244,54 +328,6 @@ class TestConcurrentMaintenance:
         # every file removed exactly once, whoever got there first
         assert sum(counts) == 30
         assert cache.entry_count() == 0
-
-
-class TestRawBlobAccess:
-    """The framed-blob API behind the peer-cache wire protocol."""
-
-    def test_put_get_round_trip(self, tmp_path):
-        import pickle
-
-        from repro.experiments.cache import cache_key, frame_blob, unframe_blob
-
-        cache = ResultCache(tmp_path)
-        key = cache_key("report", {"q": 1})
-        blob = frame_blob(pickle.dumps({"answer": 42}))
-        cache.put_raw(key, blob)
-        raw = cache.get_raw(key)
-        assert raw == blob
-        assert pickle.loads(unframe_blob(raw)) == {"answer": 42}
-        # the raw store is the same store the value API reads
-        assert cache.get("report", {"q": 1}) == {"answer": 42}
-
-    def test_put_raw_rejects_torn_blob(self, tmp_path):
-        import pickle
-
-        from repro.experiments.cache import cache_key, frame_blob
-
-        cache = ResultCache(tmp_path)
-        key = cache_key("report", {"q": 2})
-        blob = frame_blob(pickle.dumps({"answer": 42}))
-        with pytest.raises(ValueError, match="frame verification"):
-            cache.put_raw(key, blob[:-3])
-        assert cache.get_raw(key) is None
-        assert cache.entry_count() == 0
-
-    def test_get_raw_refuses_corrupt_disk_blob(self, tmp_path):
-        import pickle
-
-        from repro.experiments.cache import cache_key, frame_blob
-
-        cache = ResultCache(tmp_path)
-        key = cache_key("report", {"q": 3})
-        cache.put_raw(key, frame_blob(pickle.dumps({"answer": 42})))
-        path = next(iter(cache._blobs()))
-        path.write_bytes(path.read_bytes()[:-5])  # bit-rot the body
-        assert cache.get_raw(key) is None
-
-    def test_get_raw_missing_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get_raw("report-" + "0" * 64) is None
 
 
 class TestCacheCli:

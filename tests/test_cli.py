@@ -150,8 +150,7 @@ class TestCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["cache"] == {
             "enabled": False, "dir": None, "hits": 0, "misses": 0,
-            "corrupt": 0, "peer_hits": 0, "peer_misses": 0,
-            "peer_corrupt": 0,
+            "corrupt": 0,
         }
 
     def test_info_on_written_trace(self, capsys, tmp_path):

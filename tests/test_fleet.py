@@ -1,4 +1,4 @@
-"""Fleet-mode tests: hash ring, peer cache, router, graceful drain.
+"""Fleet-mode tests: hash ring, shared cache root, router, graceful drain.
 
 Most tests run an in-process fleet — N :class:`ServiceThread` replicas
 (each on its own event loop, with a gated executor where determinism
@@ -9,7 +9,6 @@ spawn costs.  One suite (:class:`TestSupervisor`) spawns the genuine
 """
 
 import json
-import pickle
 import socket
 import threading
 import time
@@ -17,18 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.experiments.cache import ResultCache, cache_key, frame_blob
+from repro.experiments.cache import cache_key
 from repro.service import RouterConfig, RouterThread, ServiceConfig, ServiceThread
+from repro.service.client import ServiceClient
 from repro.service.metrics import inject_label, merge_expositions
-from repro.service.peercache import PeerResultCache, valid_cache_key
 from repro.service.router import HashRing
 from repro.service.workers import execute_balance
 
 from tests.test_service import SPEC, GatedExecutor, wait_for
-
-
-#: Fleet-shared peer-cache secret used by every in-process harness.
-SECRET = "fleet-test-secret"
 
 
 def _free_ports(n: int) -> list[int]:
@@ -45,10 +40,23 @@ def _free_ports(n: int) -> list[int]:
     return ports
 
 
+def _report_bytes(spec: dict) -> bytes:
+    """What the service answers for ``spec``: in-process, no cache."""
+    report, _runner = execute_balance(dict(spec))
+    return (
+        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    ).encode()
+
+
+def _simulations(replica) -> float:
+    return replica.app.simulations_total.value(kind="balance")
+
+
 class Fleet:
-    """N in-process replicas (peer-wired) behind a front router."""
+    """N in-process replicas on one cache root behind a front router."""
 
     def __init__(self, tmp_path, n, executor_factory=None, **overrides):
+        self.cache_dir = tmp_path / "fleet-cache"
         ports = _free_ports(n)
         addrs = [f"127.0.0.1:{p}" for p in ports]
         self.replicas = []
@@ -62,10 +70,8 @@ class Fleet:
             config = ServiceConfig(
                 port=port,
                 workers=2,
-                cache_dir=str(tmp_path / f"replica-{i}"),
+                cache_dir=str(self.cache_dir),
                 replica_name=f"replica-{i}",
-                peers=tuple(a for a in addrs if a != addrs[i]),
-                peer_secret=SECRET,
                 **overrides,
             )
             self.replicas.append(ServiceThread(config, executor=executor))
@@ -166,178 +172,18 @@ class TestExpositionMerge:
 
 
 # ----------------------------------------------------------------------
-# Peer cache (unit level, no HTTP)
+# No cache blob protocol on the wire
 # ----------------------------------------------------------------------
-
-class _StubClient:
-    def __init__(self, blobs):
-        self.blobs = blobs
-        self.put = {}
-
-    def get_blob(self, key):
-        return self.blobs.get(key)
-
-    def put_blob(self, key, blob):
-        self.put[key] = blob
-        return True
-
-
-class TestPeerResultCache:
-    def test_valid_cache_key(self):
-        good = "report-" + "0" * 64
-        assert valid_cache_key(good)
-        assert valid_cache_key("balance-batch-" + "a" * 64)
-        assert not valid_cache_key("report-" + "0" * 63)
-        assert not valid_cache_key("../../etc/passwd")
-        assert not valid_cache_key("Report-" + "0" * 64)
-
-    def test_local_hit_never_touches_peers(self, tmp_path):
-        local = ResultCache(tmp_path)
-        local.put("report", {"x": 1}, {"answer": 42})
-        peer = PeerResultCache(local, ["127.0.0.1:1"])
-        value, source = peer.fetch("report", {"x": 1})
-        assert value == {"answer": 42}
-        assert source == "hit"
-        assert peer.peer_hits == peer.peer_misses == 0
-
-    def test_peer_hit_persists_locally(self, tmp_path):
-        local = ResultCache(tmp_path / "a")
-        peer = PeerResultCache(local, [])
-        key = cache_key("report", {"x": 2})
-        blob = frame_blob(pickle.dumps({"answer": 7}))
-        peer.clients = [_StubClient({key: blob})]
-        value, source = peer.fetch("report", {"x": 2})
-        assert value == {"answer": 7}
-        assert source == "peer"
-        assert peer.peer_hits == 1
-        # read-through persisted: next fetch is a local hit
-        value2, source2 = peer.fetch("report", {"x": 2})
-        assert (value2, source2) == ({"answer": 7}, "hit")
-
-    def test_torn_peer_blob_is_counted_not_trusted(self, tmp_path):
-        local = ResultCache(tmp_path / "a")
-        peer = PeerResultCache(local, [])
-        key = cache_key("report", {"x": 3})
-        good = frame_blob(pickle.dumps({"ok": True}))
-        peer.clients = [
-            _StubClient({key: good[:-3]}),   # truncated
-            _StubClient({key: good}),        # healthy sibling
-        ]
-        value, source = peer.fetch("report", {"x": 3})
-        assert value == {"ok": True}
-        assert source == "peer"
-        assert peer.peer_corrupt == 1
-
-    def test_fleet_wide_miss(self, tmp_path):
-        local = ResultCache(tmp_path / "a")
-        peer = PeerResultCache(local, [])
-        peer.clients = [_StubClient({})]
-        value, source = peer.fetch("report", {"x": 4})
-        assert (value, source) == (None, None)
-        assert peer.peer_misses == 1
-
-    def test_unreachable_peer_is_a_miss(self, tmp_path):
-        local = ResultCache(tmp_path / "a")
-        # nothing listens on this port: OSError -> miss, not crash
-        peer = PeerResultCache(local, ["127.0.0.1:1"], timeout=0.2)
-        value, source = peer.fetch("report", {"x": 5})
-        assert (value, source) == (None, None)
-
-
-# ----------------------------------------------------------------------
-# Cache blob endpoints (the peer wire protocol over real HTTP)
-# ----------------------------------------------------------------------
-
-class TestCacheEndpoints:
-    def test_put_get_roundtrip(self, tmp_path):
-        config = ServiceConfig(
-            port=0, cache_dir=str(tmp_path / "c"), peer_secret=SECRET
-        )
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            key = cache_key("report", {"payload": 1})
-            blob = frame_blob(pickle.dumps({"v": 1}))
-            put = svc.client.cache_put(key, blob, secret=SECRET)
-            assert put.status == 200
-            assert put.json()["stored"] == key
-            got = svc.client.cache_get(key, secret=SECRET)
-            assert got.status == 200
-            assert got.body == blob
-
-    def test_torn_put_rejected_and_nothing_stored(self, tmp_path):
-        config = ServiceConfig(
-            port=0, cache_dir=str(tmp_path / "c"), peer_secret=SECRET
-        )
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            key = cache_key("report", {"payload": 2})
-            blob = frame_blob(pickle.dumps({"v": 2}))
-            assert svc.client.cache_put(
-                key, blob[:-1], secret=SECRET
-            ).status == 400
-            assert svc.client.cache_get(key, secret=SECRET).status == 404
-
-    def test_malformed_key_rejected(self, tmp_path):
-        config = ServiceConfig(
-            port=0, cache_dir=str(tmp_path / "c"), peer_secret=SECRET
-        )
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            assert svc.client.cache_get(
-                "report-zz", secret=SECRET
-            ).status == 400
-            assert svc.client.cache_put(
-                "report-zz", b"RPRC", secret=SECRET
-            ).status == 400
-
 
 class TestCacheEndpointGating:
-    """The blob endpoints are fleet-internal; see REVIEW hardening."""
-
-    def test_solo_replica_has_no_cache_routes(self, tmp_path):
-        # no peers, no secret: the endpoints do not exist at all
-        config = ServiceConfig(port=0, cache_dir=str(tmp_path / "c"))
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            key = cache_key("report", {"payload": 1})
-            blob = frame_blob(pickle.dumps({"v": 1}))
-            assert svc.client.cache_put(key, blob).status == 404
-            assert svc.client.cache_get(key).status == 404
-
-    def test_secret_required_when_configured(self, tmp_path):
-        config = ServiceConfig(
-            port=0, cache_dir=str(tmp_path / "c"), peer_secret=SECRET
-        )
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            key = cache_key("report", {"payload": 1})
-            blob = frame_blob(pickle.dumps({"v": 1}))
-            # missing and wrong secrets are refused before any
-            # key/frame validation could leak information
-            assert svc.client.cache_put(key, blob).status == 403
-            assert svc.client.cache_get(key).status == 403
-            assert svc.client.cache_put(
-                key, blob, secret="wrong"
-            ).status == 403
-            assert svc.client.cache_get(key, secret="wrong").status == 403
-            # nothing was stored by the refused PUTs
-            assert svc.client.cache_get(key, secret=SECRET).status == 404
-
-    def test_secret_gates_even_with_peers_configured(self, tmp_path):
-        config = ServiceConfig(
-            port=0, cache_dir=str(tmp_path / "c"),
-            peers=("127.0.0.1:1",), peer_secret=SECRET,
-        )
-        with ServiceThread(config, executor=ThreadPoolExecutor(2)) as svc:
-            key = cache_key("report", {"payload": 1})
-            assert svc.client.cache_get(key).status == 403
-
     def test_router_never_routes_cache_traffic(self, tmp_path):
+        """``/v1/cache/<key>`` is 404 on the router and on a replica:
+        replicas share results through the cache directory only."""
         with Fleet(tmp_path, 2) as fleet:
-            key = cache_key("report", {"payload": 1})
-            blob = frame_blob(pickle.dumps({"v": 1}))
-            # even with the fleet secret, the router's client port
-            # refuses the path outright
-            assert fleet.client.cache_get(key, secret=SECRET).status == 404
-            assert fleet.client.cache_put(
-                key, blob, secret=SECRET
-            ).status == 404
-            assert fleet.client.cache_get(key).status == 404
+            path = "/v1/cache/" + cache_key("report", {"payload": 1})
+            for client in (fleet.client, fleet.replicas[0].client):
+                assert client.request("GET", path).status == 404
+                assert client.request("PUT", path).status == 404
 
 
 # ----------------------------------------------------------------------
@@ -481,61 +327,49 @@ class TestRoutedFleet:
             assert r.status == 400
             assert r.json()["error"]["code"] == "invalid-request"
 
-    def test_forwarded_request_pushes_blob_to_owner(self, tmp_path):
-        """A replica handling an off-ring request warms the ring owner."""
+    def _shared_pair(self, tmp_path, names):
         ports = _free_ports(2)
-        addrs = [f"127.0.0.1:{p}" for p in ports]
-        owner = ServiceThread(ServiceConfig(
-            port=ports[0], cache_dir=str(tmp_path / "owner"),
-            replica_name="owner", peers=(addrs[1],), peer_secret=SECRET,
-        ), executor=ThreadPoolExecutor(2))
-        handler = ServiceThread(ServiceConfig(
-            port=ports[1], cache_dir=str(tmp_path / "handler"),
-            replica_name="handler", peers=(addrs[0],), peer_secret=SECRET,
-        ), executor=ThreadPoolExecutor(2))
+        shared = str(tmp_path / "fleet-cache")
+        return [
+            ServiceThread(ServiceConfig(
+                port=port, cache_dir=shared, replica_name=name,
+            ), executor=ThreadPoolExecutor(2))
+            for port, name in zip(ports, names)
+        ]
+
+    def test_forwarded_request_pushes_blob_to_owner(self, tmp_path):
+        """A replica handling an off-ring request warms the ring owner.
+
+        The router's hot-key spill sends a request to a replica that
+        does not own it; the body that replica writes to the shared
+        cache root is a hit on the owner, which never computes it.
+        """
+        owner, handler = self._shared_pair(tmp_path, ("owner", "handler"))
         with owner, handler:
-            r = handler.client.request(
-                "POST", "/v1/balance",
-                payload={"app": "CG-16", "iterations": 2},
-                headers={"X-Repro-Forwarded-From": addrs[0]},
-            )
+            r = handler.client.balance(app="CG-16", iterations=2)
             assert r.status == 200
             assert r.headers["X-Cache"] == "miss"
-            # the push is fire-and-forget; the owner converges to a
-            # local hit without ever computing
-            wait_for(
-                lambda: owner.client.balance(
-                    app="CG-16", iterations=2
-                ).headers["X-Cache"] == "hit",
-                timeout=10,
-            )
-            metrics = handler.client.metrics()
-            assert "repro_service_peer_cache_pushes_total 1" in metrics
+            on_owner = owner.client.balance(app="CG-16", iterations=2)
+            assert on_owner.headers["X-Cache"] == "hit"
+            assert on_owner.body == r.body
+            assert _simulations(owner) == 0
+            assert _simulations(handler) == 1
 
     def test_peer_read_through_over_http(self, tmp_path):
-        """Replica B serves a body only replica A ever computed."""
-        ports = _free_ports(2)
-        addrs = [f"127.0.0.1:{p}" for p in ports]
-        a = ServiceThread(ServiceConfig(
-            port=ports[0], cache_dir=str(tmp_path / "a"),
-            replica_name="a", peers=(addrs[1],), peer_secret=SECRET,
-        ), executor=ThreadPoolExecutor(2))
-        b = ServiceThread(ServiceConfig(
-            port=ports[1], cache_dir=str(tmp_path / "b"),
-            replica_name="b", peers=(addrs[0],), peer_secret=SECRET,
-        ), executor=ThreadPoolExecutor(2))
+        """Replica B serves, byte-identical, a body only replica A computed."""
+        a, b = self._shared_pair(tmp_path, "ab")
         with a, b:
             first = a.client.balance(app="CG-16", iterations=2)
             assert first.headers["X-Cache"] == "miss"
-            via_peer = b.client.balance(app="CG-16", iterations=2)
-            assert via_peer.headers["X-Cache"] == "peer"
-            assert via_peer.body == first.body
-            # persisted locally: B now answers from its own disk
+            on_b = b.client.balance(app="CG-16", iterations=2)
+            assert on_b.headers["X-Cache"] == "hit"
+            assert on_b.body == first.body
+            assert _simulations(b) == 0
             assert b.client.balance(
                 app="CG-16", iterations=2
             ).headers["X-Cache"] == "hit"
-            metrics = b.client.metrics()
-            assert "repro_service_peer_cache_hits_total 1" in metrics
+            assert _simulations(a) == 1
+            assert _simulations(b) == 0
 
     def test_router_aggregates_health_and_metrics(self, tmp_path):
         with Fleet(tmp_path, 2) as fleet:
@@ -549,6 +383,54 @@ class TestRoutedFleet:
             assert 'replica="replica-1"' in metrics
             assert "repro_router_ring_rebalances_total" in metrics
             assert "repro_router_ready_replicas 2" in metrics
+
+
+# ----------------------------------------------------------------------
+# Fault injection on the shared cache root
+# ----------------------------------------------------------------------
+
+class TestSharedCacheFaults:
+    def test_corrupt_blobs_are_recomputed_not_served(self, tmp_path):
+        """A truncated and a bit-flipped blob each come back as a
+        recomputed miss, byte-identical to the in-process answer, and
+        count once as corrupt; the rewritten blob then hits."""
+        specs = [dict(SPEC, gears="uniform:3"), dict(SPEC, gears="uniform:6")]
+        bodies = [
+            {k: v for k, v in spec.items() if k != "base_compute"}
+            for spec in specs
+        ]
+        with Fleet(tmp_path, 2) as fleet:
+            blobs = []
+            for body in bodies:
+                seen = set(fleet.cache_dir.glob("report-*.pkl"))
+                assert fleet.client.balance(**body).status == 200
+                (blob,) = set(fleet.cache_dir.glob("report-*.pkl")) - seen
+                blobs.append(blob)
+            truncated, flipped = blobs
+            truncated.write_bytes(truncated.read_bytes()[:-7])
+            raw = bytearray(flipped.read_bytes())
+            raw[len(raw) // 2] ^= 0x01
+            flipped.write_bytes(bytes(raw))
+
+            def corrupt_total():
+                text = "".join(r.client.metrics() for r in fleet.replicas)
+                return sum(
+                    float(line.split()[-1]) for line in text.splitlines()
+                    if line.startswith(
+                        "repro_service_result_cache_corrupt_total "
+                    )
+                )
+
+            before = corrupt_total()
+            for spec, body in zip(specs, bodies):
+                again = fleet.client.balance(**body)
+                assert again.headers["X-Cache"] == "miss"
+                assert again.body == _report_bytes(spec)
+                assert corrupt_total() == before + 1
+                before += 1
+                rehit = fleet.client.balance(**body)
+                assert rehit.headers["X-Cache"] == "hit"
+                assert rehit.body == again.body
 
 
 # ----------------------------------------------------------------------
@@ -669,23 +551,17 @@ class TestSupervisor:
             metrics = fleet.client.metrics()
             assert "repro_fleet_replica_restarts_total" in metrics
             assert "repro_fleet_replicas_alive 2" in metrics
-            # the generated fleet secret reached the replica (via env):
-            # unauthenticated blob access is refused on the replica
-            # port, the fleet secret gets through, and the router's
-            # client port never routes the path at all
-            from repro.service.client import ServiceClient
-
-            replica = ServiceClient(
-                "127.0.0.1", fleet.supervisor.replicas[0].port
-            )
-            key = cache_key("report", {"x": 1})
-            assert replica.cache_get(key).status == 403
-            assert replica.cache_get(
-                key, secret=fleet.supervisor.peer_secret
-            ).status == 404
-            assert fleet.client.cache_get(
-                key, secret=fleet.supervisor.peer_secret
-            ).status == 404
+            # every replica writes straight into the one fleet root
+            root = tmp_path / "fleet"
+            assert list(root.glob("report-*.pkl"))
+            assert not list(root.glob("replica-*"))
+            # ... so the replica that did not compute it hits as well
+            for replica in fleet.supervisor.replicas:
+                direct = ServiceClient("127.0.0.1", replica.port).balance(
+                    app="CG-16", iterations=2
+                )
+                assert direct.headers["X-Cache"] == "hit"
+                assert direct.body == first.body
         # context exit drains: replica processes must be gone
         assert all(not r.alive for r in fleet.supervisor.replicas)
 
