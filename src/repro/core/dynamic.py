@@ -137,8 +137,11 @@ class JitterRuntime:
     # ------------------------------------------------------------------
     def run(self, trace: "Any") -> DynamicReport:
         from repro.traces.analysis import compute_times, iteration_count
+        from repro.traces.columnar import as_columnar
         from repro.traces.transform import cut_iterations
 
+        # one conversion for the whole loop, not one per iteration cut
+        trace = as_columnar(trace)
         niter = iteration_count(trace)
         if niter < 2:
             raise ValueError(

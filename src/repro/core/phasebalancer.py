@@ -8,7 +8,8 @@ single DVFS setting is used".  The fix it implies — one frequency per
 1. split per-rank computation times by phase label
    (:func:`repro.traces.analysis.compute_times_by_phase`);
 2. run the base algorithm (MAX by default) independently per phase;
-3. rewrite each compute burst with its phase's gear and replay;
+3. rewrite each compute burst with its phase's gear (the column
+   kernel of :func:`repro.traces.transform.scale_compute`) and replay;
 4. integrate energy exactly per phase; the communication/wait residual
    is charged at a per-rank *resting gear* — the compute-time-weighted
    frequency, rounded into the gear set (a DVFS runtime parks the CPU
@@ -32,6 +33,9 @@ from repro.core.power import CpuPowerModel, CpuState
 from repro.core.timemodel import BetaTimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
+    from repro.traces.columnar import ColumnarTrace
     from repro.traces.trace import Trace
 
 __all__ = ["PhaseAwareLoadBalancer", "PhaseBalanceReport"]
@@ -98,7 +102,9 @@ class PhaseAwareLoadBalancer:
         self.accountant = EnergyAccountant(self.power_model)
 
     # ------------------------------------------------------------------
-    def assign_phases(self, trace: "Trace") -> dict[str, FrequencyAssignment]:
+    def assign_phases(
+        self, trace: "Trace | ColumnarTrace"
+    ) -> dict[str, FrequencyAssignment]:
         from repro.traces.analysis import compute_times_by_phase
 
         phases = compute_times_by_phase(trace)
@@ -112,40 +118,39 @@ class PhaseAwareLoadBalancer:
         return out
 
     def _rewrite(
-        self, trace: "Trace", assignments: dict[str, FrequencyAssignment]
-    ) -> "Trace":
-        from repro.traces.records import ComputeBurst
-        from repro.traces.trace import Trace
+        self,
+        trace: "ColumnarTrace",
+        assignments: dict[str, FrequencyAssignment],
+    ) -> "ColumnarTrace":
+        """Each positive burst of an assigned phase rescaled to the
+        rank's gear for that phase (the column kernel of
+        :func:`repro.traces.transform.scale_compute`)."""
+        import numpy as np
 
-        model = self.time_model
-        out = Trace(trace.nproc, meta=dict(trace.meta))
-        for stream in trace:
-            new_records = []
-            for rec in stream:
-                if isinstance(rec, ComputeBurst) and rec.duration > 0.0:
-                    assignment = assignments.get(rec.phase)
-                    if assignment is not None:
-                        f = assignment.gears[stream.rank].frequency
-                        beta = model.beta if rec.beta is None else rec.beta
-                        rec = ComputeBurst(
-                            rec.duration * model.ratio(f, beta), phase=rec.phase
-                        )
-                new_records.append(rec)
-            out[stream.rank].records = new_records
-        return out
+        from repro.traces.columnar import K_COMPUTE
+        from repro.traces.transform import _rescale_bursts
+
+        bursts = (trace.kind == K_COMPUTE) & (trace.duration > 0.0)
+        ranks = np.repeat(np.arange(trace.nproc), np.diff(trace.offsets))
+        freqs = np.ones(len(trace.kind))
+        scale = np.zeros(len(trace.kind), dtype=bool)
+        for label, assignment in assignments.items():
+            sel = bursts & (trace.label == trace.strings.index(label))
+            freqs[sel] = assignment.frequencies[ranks[sel]]
+            scale |= sel
+        return _rescale_bursts(
+            trace, freqs, scale, self.time_model, dict(trace.meta)
+        )
 
     def _resting_gears(
         self,
-        trace: "Trace",
+        phases: dict[str, "np.ndarray"],
         assignments: dict[str, FrequencyAssignment],
-        nominal: Gear,
+        nproc: int,
     ) -> tuple[Gear, ...]:
         """Per-rank gear charged during communication and waits."""
-        from repro.traces.analysis import compute_times_by_phase
-
-        phases = compute_times_by_phase(trace)
         gears: list[Gear] = []
-        for rank in range(trace.nproc):
+        for rank in range(nproc):
             weighted = 0.0
             total = 0.0
             for label, assignment in assignments.items():
@@ -161,7 +166,13 @@ class PhaseAwareLoadBalancer:
         return tuple(gears)
 
     # ------------------------------------------------------------------
-    def balance_trace(self, trace: "Trace") -> PhaseBalanceReport:
+    def balance_trace(
+        self, trace: "Trace | ColumnarTrace"
+    ) -> PhaseBalanceReport:
+        from repro.traces.analysis import compute_times_by_phase
+        from repro.traces.columnar import as_columnar
+
+        trace = as_columnar(trace)
         nominal = self.power_model.law.gear(self.time_model.fmax)
         pm = self.power_model
 
@@ -175,12 +186,10 @@ class PhaseAwareLoadBalancer:
         assignments = self.assign_phases(trace)
         scaled = self._rewrite(trace, assignments)
         modified = self.simulator.run_trace(scaled)
-        resting = self._resting_gears(trace, assignments, nominal)
+        phases = compute_times_by_phase(trace)
+        resting = self._resting_gears(phases, assignments, trace.nproc)
 
         # exact per-phase compute energy + comm residual at resting gear
-        from repro.traces.analysis import compute_times_by_phase
-
-        phases = compute_times_by_phase(trace)
         new_energy = 0.0
         for rank in range(trace.nproc):
             compute_seconds = 0.0

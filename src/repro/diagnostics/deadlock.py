@@ -29,38 +29,39 @@ can advance, the wait-for graph over the blocked ranks is built and
 A trace that completes but leaves eager envelopes unconsumed is also
 reported: those are sent-but-never-received messages.
 
-Two replay backends share one matcher and one post-mortem: the record
-backend steps per-rank ``Record`` lists, and the columnar backend
-(:class:`_ColumnarReplay`) steps the pooled numpy columns of a
-:class:`~repro.traces.columnar.ColumnarTrace` directly.  The columnar
-backend pre-filters local events (compute, marker) in one vectorised
-pass — only communication events exist as Python state — so a 32k-rank
-world replays without materialising a single record object, while the
-pass order, matching schedule and every report string stay identical to
-the record backend.
+The replay steps the pooled numpy columns of a
+:class:`~repro.traces.columnar.ColumnarTrace` (a record-object trace is
+converted on entry).  It pre-filters local events (compute, marker) in
+one vectorised pass — only communication events exist as Python state —
+so a 32k-rank world replays without materialising a single record
+object.  The discrete-event simulator is its independent check: on
+worlds without wildcard receives, the replay reports a deadlock exactly
+when the simulator raises ``DeadlockError`` and a collective mismatch
+exactly when it rejects the collective order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+
+import numpy as np
 
 from repro.netsim.platform import PlatformConfig
-from repro.traces.records import (
-    ANY_SOURCE,
-    ANY_TAG,
-    COLLECTIVE_OPS,
-    CollectiveRecord,
-    ComputeBurst,
-    IrecvRecord,
-    IsendRecord,
-    MarkerRecord,
-    RecvRecord,
-    Record,
-    SendRecord,
-    WaitRecord,
-    WaitallRecord,
+from repro.traces.columnar import (
+    K_COLLECTIVE,
+    K_COMPUTE,
+    K_IRECV,
+    K_ISEND,
+    K_MARKER,
+    K_RECV,
+    K_SEND,
+    K_WAIT,
+    K_WAITALL,
+    KIND_NAMES,
+    ColumnarTrace,
+    as_columnar,
 )
+from repro.traces.records import ANY_SOURCE, ANY_TAG, COLLECTIVE_OPS
 from repro.traces.trace import Trace
 
 __all__ = ["BlockedRank", "DeadlockReport", "analyze_deadlock"]
@@ -123,19 +124,34 @@ class _PostedRecv:
     token: _Token
 
 
-class _ReplayBase:
-    """Matcher, run loop and post-mortem shared by both backends.
+@dataclass
+class _Cursor:
+    """Position of one rank in the compacted communication-event lists."""
 
-    A backend provides ``_step(rank)``, ``_is_done(rank)``,
-    ``_block_index(rank)`` and ``_waits_on(rank)``; everything else —
-    FIFO matching, the progress loop, SCC extraction and report assembly
-    — lives here, which is what keeps the two representations'
-    ``DeadlockReport``s identical field for field.
+    pos: int  # absolute index into the flat comm-event lists
+    stop: int
+    issued_pos: int = -1  # pos whose posting side effects already ran
+    block_token: _Token | None = None
+    requests: dict[int, tuple[str, int, _Token]] = field(default_factory=dict)
+    coll_index: int = 0
+
+    @property
+    def done(self) -> bool:
+        return self.pos >= self.stop
+
+
+class _Replay:
+    """The abstract replay: FIFO matcher, run loop and post-mortem.
+
+    One vectorised pass drops local events (compute, marker) and lifts
+    the surviving communication events into flat Python lists — kind
+    code, peer, tag, request id/count, reqpool offset, a precomputed
+    eager flag, and the original within-rank event index (so blocked
+    reports cite the rank's own event numbers).
     """
 
-    def __init__(self, nproc: int, platform: PlatformConfig):
-        self.platform = platform
-        self.nproc = nproc
+    def __init__(self, trace: ColumnarTrace, platform: PlatformConfig):
+        self.nproc = nproc = trace.nproc
         self.envelopes: list[list[_Envelope]] = [[] for _ in range(nproc)]
         self.posted: list[list[_PostedRecv]] = [[] for _ in range(nproc)]
         self.seq = 0
@@ -143,6 +159,27 @@ class _ReplayBase:
         self.coll_ops: dict[int, tuple[str, int]] = {}
         self.coll_released: set[int] = set()
         self.coll_mismatches: list[tuple[int, str]] = []
+
+        kind = trace.kind
+        comm = np.flatnonzero((kind != K_COMPUTE) & (kind != K_MARKER))
+        offsets = trace.offsets
+        ranks_of = np.searchsorted(offsets, comm, side="right") - 1
+        bounds = np.searchsorted(ranks_of, np.arange(nproc + 1))
+        self.kindl = kind[comm].tolist()
+        self.peerl = trace.peer[comm].tolist()
+        self.tagl = trace.tag[comm].tolist()
+        self.reql = trace.req[comm].tolist()
+        self.auxl = trace.aux[comm].tolist()
+        self.opl = trace.collop[comm].tolist()
+        self.eagerl = (
+            trace.size[comm] <= platform.eager_threshold
+        ).tolist()
+        self.recl = (comm - offsets[ranks_of]).tolist()
+        self.reqpool = trace.reqpool.tolist()
+        self.ranks = [
+            _Cursor(pos=int(bounds[r]), stop=int(bounds[r + 1]))
+            for r in range(nproc)
+        ]
 
     # -- matching ------------------------------------------------------
     def _next_seq(self) -> int:
@@ -193,339 +230,16 @@ class _ReplayBase:
         if len(arrived) == self.nproc:
             self.coll_released.add(k)
 
-    # -- backend hooks -------------------------------------------------
-    def _step(self, rank: int) -> bool:
-        raise NotImplementedError
-
-    def _is_done(self, rank: int) -> bool:
-        raise NotImplementedError
-
-    def _block_index(self, rank: int) -> int:
-        """Record index (within the rank) of the blocking operation."""
-        raise NotImplementedError
-
-    def _waits_on(self, rank: int) -> tuple[str, tuple[int, ...]]:
-        raise NotImplementedError
-
-    def _not_done_peers(self, rank: int) -> tuple[int, ...]:
-        return tuple(
-            r for r in range(self.nproc)
-            if r != rank and not self._is_done(r)
-        )
-
-    def _collective_waits(
-        self, rank: int, k: int, op: str
-    ) -> tuple[str, tuple[int, ...]]:
-        arrived = self.coll_arrived.get(k, set())
-        missing = tuple(
-            r for r in range(self.nproc) if r != rank and r not in arrived
-        )
-        return f"collective #{k} ({op})", missing
-
-    def _request_waits(
-        self,
-        requests: tuple[int, ...],
-        live: dict[int, tuple[str, int, _Token]],
-        others: tuple[int, ...],
-    ) -> tuple[str, tuple[int, ...]]:
-        targets: list[int] = []
-        parts: list[str] = []
-        for r in requests:
-            entry = live.get(r)
-            if entry is None or entry[2].matched:
-                continue
-            kind, peer, _ = entry
-            if kind == "irecv" and peer == ANY_SOURCE:
-                targets.extend(others)
-                parts.append(f"wait on irecv(any) #{r}")
-            else:
-                targets.append(peer)
-                parts.append(f"wait on {kind} #{r} (peer rank {peer})")
-        return "; ".join(parts) or "wait", tuple(dict.fromkeys(targets))
-
-    # -- run + post-mortem ---------------------------------------------
-    def run(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for rank in range(self.nproc):
-                while self._step(rank):
-                    progress = True
-
-    def report(self) -> DeadlockReport:
-        stuck = [r for r in range(self.nproc) if not self._is_done(r)]
-
-        blocked: list[BlockedRank] = []
-        edges: dict[int, tuple[int, ...]] = {}
-        for rank in stuck:
-            description, targets = self._waits_on(rank)
-            blocked.append(
-                BlockedRank(
-                    rank=rank,
-                    index=self._block_index(rank),
-                    description=description,
-                    waits_on=targets,
-                )
-            )
-            edges[rank] = tuple(t for t in targets if t in stuck)
-
-        orphans = tuple(
-            b for b in blocked
-            if not edges[b.rank]  # every wait target already terminated
-        )
-        cycles = _cycles(edges)
-
-        undelivered: list[tuple[int, int, int]] = []
-        if not stuck:
-            counts: dict[tuple[int, int], int] = {}
-            for dst, envs in enumerate(self.envelopes):
-                for env in envs:
-                    key = (env.src, dst)
-                    counts[key] = counts.get(key, 0) + 1
-            undelivered = [
-                (src, dst, n) for (src, dst), n in sorted(counts.items())
-            ]
-
-        return DeadlockReport(
-            deadlocked=bool(stuck),
-            cycles=cycles,
-            orphans=orphans,
-            blocked=tuple(blocked),
-            undelivered=tuple(undelivered),
-            collective_mismatches=tuple(self.coll_mismatches),
-        )
-
-
-@dataclass
-class _RankState:
-    records: list[Record]
-    pc: int = 0
-    issued_pc: int = -1  # pc whose posting side effects already ran
-    block_token: _Token | None = None
-    requests: dict[int, tuple[str, int, _Token]] = field(default_factory=dict)
-    coll_index: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.records)
-
-
-class _Replay(_ReplayBase):
-    """Record-object backend: steps per-rank ``Record`` lists."""
-
-    def __init__(self, trace: Trace, platform: PlatformConfig):
-        super().__init__(trace.nproc, platform)
-        self.ranks = [_RankState(list(stream)) for stream in trace]
-
-    # -- per-record stepping -------------------------------------------
-    def _step(self, rank: int) -> bool:
-        """Try to retire the current record of ``rank``; True on advance."""
-        state = self.ranks[rank]
-        if state.done:
-            return False
-        rec = state.records[state.pc]
-        first = state.issued_pc != state.pc
-
-        if isinstance(rec, (ComputeBurst, MarkerRecord)):
-            state.pc += 1
-            return True
-
-        if isinstance(rec, SendRecord):
-            if rec.nbytes <= self.platform.eager_threshold:
-                self._deliver(
-                    rec.dst,
-                    _Envelope(self._next_seq(), rank, rec.tag, False, None),
-                )
-                state.pc += 1
-                return True
-            if first:
-                token = _Token()
-                state.block_token = token
-                state.issued_pc = state.pc
-                self._deliver(
-                    rec.dst,
-                    _Envelope(self._next_seq(), rank, rec.tag, True, token),
-                )
-            assert state.block_token is not None
-            if state.block_token.matched:
-                state.block_token = None
-                state.pc += 1
-                return True
-            return False
-
-        if isinstance(rec, IsendRecord):
-            token = _Token()
-            eager = rec.nbytes <= self.platform.eager_threshold
-            if eager:
-                token.matched = True  # locally complete at once
-            self._deliver(
-                rec.dst,
-                _Envelope(
-                    self._next_seq(), rank, rec.tag, not eager,
-                    None if eager else token,
-                ),
-            )
-            state.requests[rec.request] = ("isend", rec.dst, token)
-            state.pc += 1
-            return True
-
-        if isinstance(rec, RecvRecord):
-            if first:
-                token = _Token()
-                state.block_token = token
-                state.issued_pc = state.pc
-                self._post_recv(
-                    rank, _PostedRecv(self._next_seq(), rec.src, rec.tag, token)
-                )
-            assert state.block_token is not None
-            if state.block_token.matched:
-                state.block_token = None
-                state.pc += 1
-                return True
-            return False
-
-        if isinstance(rec, IrecvRecord):
-            token = _Token()
-            self._post_recv(
-                rank, _PostedRecv(self._next_seq(), rec.src, rec.tag, token)
-            )
-            state.requests[rec.request] = ("irecv", rec.src, token)
-            state.pc += 1
-            return True
-
-        if isinstance(rec, (WaitRecord, WaitallRecord)):
-            requests = (
-                (rec.request,)
-                if isinstance(rec, WaitRecord)
-                else tuple(rec.requests)
-            )
-            pending = [
-                r for r in requests
-                if r in state.requests and not state.requests[r][2].matched
-            ]
-            if pending:
-                return False
-            for r in requests:
-                state.requests.pop(r, None)
-            state.pc += 1
-            return True
-
-        if isinstance(rec, CollectiveRecord):
-            k = state.coll_index
-            if first:
-                state.issued_pc = state.pc
-                self._arrive_collective(rank, k, rec.op)
-            if k in self.coll_released:
-                state.coll_index += 1
-                state.pc += 1
-                return True
-            return False
-
-        raise TypeError(f"unknown record type {type(rec).__name__}")
-
-    # -- post-mortem hooks ---------------------------------------------
-    def _is_done(self, rank: int) -> bool:
-        return self.ranks[rank].done
-
-    def _block_index(self, rank: int) -> int:
-        return self.ranks[rank].pc
-
-    def _waits_on(self, rank: int) -> tuple[str, tuple[int, ...]]:
-        """(description, rank targets) of a blocked rank's current record."""
-        state = self.ranks[rank]
-        rec = state.records[state.pc]
-        if isinstance(rec, SendRecord):
-            return f"rendezvous send to rank {rec.dst}", (rec.dst,)
-        if isinstance(rec, RecvRecord):
-            if rec.src == ANY_SOURCE:
-                return "recv from any source", self._not_done_peers(rank)
-            return f"recv from rank {rec.src}", (rec.src,)
-        if isinstance(rec, (WaitRecord, WaitallRecord)):
-            requests = (
-                (rec.request,)
-                if isinstance(rec, WaitRecord)
-                else tuple(rec.requests)
-            )
-            return self._request_waits(
-                requests, state.requests, self._not_done_peers(rank)
-            )
-        if isinstance(rec, CollectiveRecord):
-            return self._collective_waits(rank, state.coll_index, rec.op)
-        return f"{rec.kind}", ()
-
-
-@dataclass
-class _ColumnarRankState:
-    """Cursor of one rank over the compacted communication-event lists."""
-
-    pos: int  # absolute index into the flat comm-event lists
-    stop: int
-    issued_pos: int = -1
-    block_token: _Token | None = None
-    requests: dict[int, tuple[str, int, _Token]] = field(default_factory=dict)
-    coll_index: int = 0
-
-    @property
-    def done(self) -> bool:
-        return self.pos >= self.stop
-
-
-class _ColumnarReplay(_ReplayBase):
-    """Columnar backend: steps pooled numpy columns, no record objects.
-
-    One vectorised pass drops local events (compute, marker) and lifts
-    the surviving communication events into flat Python lists — kind
-    code, peer, tag, request id/count, reqpool offset, a precomputed
-    eager flag, and the original within-rank record index (so blocked
-    reports cite the same record numbers as the record backend).  The
-    per-pass rank order and the FIFO matcher are inherited unchanged,
-    which makes the replay schedule — and with it every description,
-    cycle and mismatch string — identical to the record backend's.
-    """
-
-    def __init__(self, trace: Any, platform: PlatformConfig):
-        import numpy as np
-
-        from repro.traces.columnar import K_COMPUTE, K_MARKER
-
-        super().__init__(trace.nproc, platform)
-        kind = trace.kind
-        comm = np.flatnonzero((kind != K_COMPUTE) & (kind != K_MARKER))
-        offsets = trace.offsets
-        ranks_of = np.searchsorted(offsets, comm, side="right") - 1
-        bounds = np.searchsorted(ranks_of, np.arange(self.nproc + 1))
-        self.kindl = kind[comm].tolist()
-        self.peerl = trace.peer[comm].tolist()
-        self.tagl = trace.tag[comm].tolist()
-        self.reql = trace.req[comm].tolist()
-        self.auxl = trace.aux[comm].tolist()
-        self.opl = trace.collop[comm].tolist()
-        self.eagerl = (
-            trace.size[comm] <= platform.eager_threshold
-        ).tolist()
-        self.recl = (comm - offsets[ranks_of]).tolist()
-        self.reqpool = trace.reqpool.tolist()
-        self.ranks = [
-            _ColumnarRankState(pos=int(bounds[r]), stop=int(bounds[r + 1]))
-            for r in range(self.nproc)
-        ]
-
-    def _waitall_requests(self, i: int) -> tuple[int, ...]:
+    def _requests_of(self, i: int) -> tuple[int, ...]:
+        """Request ids a wait/waitall event completes."""
+        if self.kindl[i] == K_WAIT:
+            return (self.reql[i],)
         lo = self.auxl[i]
         return tuple(self.reqpool[lo:lo + self.reql[i]])
 
     # -- per-event stepping --------------------------------------------
     def _step(self, rank: int) -> bool:
-        from repro.traces.columnar import (
-            K_COLLECTIVE,
-            K_IRECV,
-            K_ISEND,
-            K_RECV,
-            K_SEND,
-            K_WAIT,
-            K_WAITALL,
-        )
-
+        """Try to retire the current event of ``rank``; True on advance."""
         state = self.ranks[rank]
         if state.done:
             return False
@@ -607,10 +321,7 @@ class _ColumnarReplay(_ReplayBase):
             return True
 
         if k in (K_WAIT, K_WAITALL):
-            requests = (
-                (self.reql[i],) if k == K_WAIT
-                else self._waitall_requests(i)
-            )
+            requests = self._requests_of(i)
             pending = [
                 r for r in requests
                 if r in state.requests and not state.requests[r][2].matched
@@ -637,45 +348,103 @@ class _ColumnarReplay(_ReplayBase):
 
         raise TypeError(f"unknown kind code {k}")
 
-    # -- post-mortem hooks ---------------------------------------------
-    def _is_done(self, rank: int) -> bool:
-        return self.ranks[rank].done
-
-    def _block_index(self, rank: int) -> int:
-        return self.recl[self.ranks[rank].pos]
-
-    def _waits_on(self, rank: int) -> tuple[str, tuple[int, ...]]:
-        from repro.traces.columnar import (
-            K_COLLECTIVE,
-            K_RECV,
-            K_SEND,
-            K_WAIT,
-            K_WAITALL,
-            KIND_NAMES,
+    # -- post-mortem ---------------------------------------------------
+    def _not_done_peers(self, rank: int) -> tuple[int, ...]:
+        return tuple(
+            r for r in range(self.nproc)
+            if r != rank and not self.ranks[r].done
         )
 
+    def _waits_on(self, rank: int) -> tuple[str, tuple[int, ...]]:
+        """(description, rank targets) of a blocked rank's current event."""
         state = self.ranks[rank]
         i = state.pos
         k = self.kindl[i]
+        peer = self.peerl[i]
         if k == K_SEND:
-            return f"rendezvous send to rank {self.peerl[i]}", (self.peerl[i],)
+            return f"rendezvous send to rank {peer}", (peer,)
         if k == K_RECV:
-            if self.peerl[i] == ANY_SOURCE:
+            if peer == ANY_SOURCE:
                 return "recv from any source", self._not_done_peers(rank)
-            return f"recv from rank {self.peerl[i]}", (self.peerl[i],)
+            return f"recv from rank {peer}", (peer,)
         if k in (K_WAIT, K_WAITALL):
-            requests = (
-                (self.reql[i],) if k == K_WAIT
-                else self._waitall_requests(i)
-            )
-            return self._request_waits(
-                requests, state.requests, self._not_done_peers(rank)
-            )
+            targets: list[int] = []
+            parts: list[str] = []
+            for r in self._requests_of(i):
+                entry = state.requests.get(r)
+                if entry is None or entry[2].matched:
+                    continue
+                req_kind, req_peer, _ = entry
+                if req_kind == "irecv" and req_peer == ANY_SOURCE:
+                    targets.extend(self._not_done_peers(rank))
+                    parts.append(f"wait on irecv(any) #{r}")
+                else:
+                    targets.append(req_peer)
+                    parts.append(
+                        f"wait on {req_kind} #{r} (peer rank {req_peer})"
+                    )
+            return "; ".join(parts) or "wait", tuple(dict.fromkeys(targets))
         if k == K_COLLECTIVE:
-            return self._collective_waits(
-                rank, state.coll_index, COLLECTIVE_OPS[self.opl[i]]
+            kk = state.coll_index
+            arrived = self.coll_arrived.get(kk, set())
+            missing = tuple(
+                r for r in range(self.nproc)
+                if r != rank and r not in arrived
             )
+            op = COLLECTIVE_OPS[self.opl[i]]
+            return f"collective #{kk} ({op})", missing
         return f"{KIND_NAMES[k]}", ()
+
+    def run(self) -> None:
+        progress = True
+        while progress:
+            progress = False
+            for rank in range(self.nproc):
+                while self._step(rank):
+                    progress = True
+
+    def report(self) -> DeadlockReport:
+        stuck = [r for r in range(self.nproc) if not self.ranks[r].done]
+
+        blocked: list[BlockedRank] = []
+        edges: dict[int, tuple[int, ...]] = {}
+        for rank in stuck:
+            description, targets = self._waits_on(rank)
+            blocked.append(
+                BlockedRank(
+                    rank=rank,
+                    index=self.recl[self.ranks[rank].pos],
+                    description=description,
+                    waits_on=targets,
+                )
+            )
+            edges[rank] = tuple(t for t in targets if t in stuck)
+
+        orphans = tuple(
+            b for b in blocked
+            if not edges[b.rank]  # every wait target already terminated
+        )
+        cycles = _cycles(edges)
+
+        undelivered: list[tuple[int, int, int]] = []
+        if not stuck:
+            counts: dict[tuple[int, int], int] = {}
+            for dst, envs in enumerate(self.envelopes):
+                for env in envs:
+                    key = (env.src, dst)
+                    counts[key] = counts.get(key, 0) + 1
+            undelivered = [
+                (src, dst, n) for (src, dst), n in sorted(counts.items())
+            ]
+
+        return DeadlockReport(
+            deadlocked=bool(stuck),
+            cycles=cycles,
+            orphans=orphans,
+            blocked=tuple(blocked),
+            undelivered=tuple(undelivered),
+            collective_mismatches=tuple(self.coll_mismatches),
+        )
 
 
 def _cycles(edges: dict[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -731,26 +500,18 @@ def _cycles(edges: dict[int, tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def analyze_deadlock(
-    trace: Any, platform: PlatformConfig | None = None
+    trace: Trace | ColumnarTrace, platform: PlatformConfig | None = None
 ) -> DeadlockReport:
     """Run the abstract replay and summarise blocking structure.
 
-    Dispatches on the storage representation: columnar traces replay on
-    their pooled columns (no record materialisation), record traces on
-    their ``Record`` lists; the two backends share schedule, matcher and
-    report assembly, so their reports are identical.  The result is
-    conservative under wildcard receives (matching is resolved FIFO, one
-    of the legal schedules); traces with any-source traffic are
+    The replay runs on the trace's pooled columns (a record trace is
+    converted first) without materialising record objects.  The result
+    is conservative under wildcard receives (matching is resolved FIFO,
+    one of the legal schedules); traces with any-source traffic are
     separately flagged by rule TR004.
     """
-    from repro.diagnostics.traceview import is_columnar
     from repro.netsim.platform import MYRINET_LIKE
 
-    platform = platform or MYRINET_LIKE
-    replay: _ReplayBase
-    if is_columnar(trace):
-        replay = _ColumnarReplay(trace, platform)
-    else:
-        replay = _Replay(trace, platform)
+    replay = _Replay(as_columnar(trace), platform or MYRINET_LIKE)
     replay.run()
     return replay.report()

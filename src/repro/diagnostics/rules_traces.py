@@ -19,11 +19,11 @@ TR009  ERROR     orphaned operation / undelivered messages
 TR010  ERROR     ranks disagree on collective operation order
 =====  ========  ========================================================
 
-Every rule reads the trace through the accessor layer of
-:mod:`repro.diagnostics.traceview`, so one rule body serves both
-record-object and columnar storage — a :class:`ColumnarTrace` subject is
+Every rule reads the trace through the columnar accessors of
+:mod:`repro.diagnostics.traceview`: a :class:`ColumnarTrace` subject is
 analysed directly on its numpy columns with no record materialisation,
-and the two representations produce diagnostic-identical output.
+and a record-object trace is converted once when its
+:class:`TraceContext` is built.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from typing import Any
 from repro.diagnostics.deadlock import DeadlockReport, analyze_deadlock
 from repro.diagnostics.model import Diagnostic, Severity
 from repro.diagnostics.registry import Maker, rule
-from repro.diagnostics.traceview import make_view
+from repro.diagnostics.traceview import ColumnarTraceView
 from repro.netsim.platform import MYRINET_LIKE, PlatformConfig
+from repro.traces.columnar import as_columnar
 
 __all__ = ["TraceContext"]
 
@@ -45,10 +46,10 @@ class TraceContext:
     """What the trace rules see: the trace, the platform, a subject name.
 
     ``trace`` may be a record-object :class:`~repro.traces.trace.Trace`
-    or a :class:`~repro.traces.columnar.ColumnarTrace`; the ``view``
-    accessor backend and the deadlock analysis both dispatch on the
-    representation.  The deadlock analysis is shared by TR008/TR009/
-    TR010 and computed at most once per context.
+    or a :class:`~repro.traces.columnar.ColumnarTrace`; a record trace is
+    converted here, once, so the ``view`` accessors and the deadlock
+    analysis only ever see columns.  The deadlock analysis is shared by
+    TR008/TR009/TR010 and computed at most once per context.
     """
 
     def __init__(
@@ -57,13 +58,10 @@ class TraceContext:
         platform: PlatformConfig | None = None,
         subject: str | None = None,
     ):
-        self.trace = trace
+        self.trace = as_columnar(trace)
         self.platform = platform or MYRINET_LIKE
         self.subject = subject if subject is not None else trace.name
-
-    @cached_property
-    def view(self):
-        return make_view(self.trace)
+        self.view = ColumnarTraceView(self.trace)
 
     @cached_property
     def deadlock(self) -> DeadlockReport:

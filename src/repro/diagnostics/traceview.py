@@ -1,195 +1,60 @@
-"""Representation-agnostic trace accessors for the trace rule pack.
+"""Trace accessors for the trace rule pack.
 
 The TR rules (:mod:`repro.diagnostics.rules_traces`) are written against
-this small accessor interface instead of iterating record objects, so
-one rule body serves both storage representations:
+this small accessor interface instead of iterating record objects.
+:class:`ColumnarTraceView` evaluates each query as vectorised numpy
+expressions over the pooled columns of a
+:class:`~repro.traces.columnar.ColumnarTrace` — no record object is ever
+materialised.  A record-object trace is converted once, when the rule
+context is built, so there is one implementation of every query.
 
-* :class:`RecordTraceView` walks per-rank ``Record`` lists exactly the
-  way the historical rules did;
-* :class:`ColumnarTraceView` evaluates the same queries as vectorised
-  numpy expressions over the pooled columns of a
-  :class:`~repro.traces.columnar.ColumnarTrace` — no record object is
-  ever materialised.
-
-Every accessor returns plain Python values (ints, tuples, dicts) with
-the exact content and ordering of the record path, which is what makes
-record and columnar lint output diagnostic-identical (pinned by the
-property suite in ``tests/test_lint_columnar.py``).
+Every accessor returns plain Python values (ints, tuples, dicts) in
+rank order, so the rule bodies format their findings without touching
+numpy.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import numpy as np
 
-from repro.traces.records import (
-    ANY_SOURCE,
-    COLLECTIVE_OPS,
-    CollectiveRecord,
-    ComputeBurst,
-    IrecvRecord,
-    IsendRecord,
-    MarkerRecord,
-    RecvRecord,
-    SendRecord,
+from repro.traces.columnar import (
+    K_COLLECTIVE,
+    K_COMPUTE,
+    K_IRECV,
+    K_ISEND,
+    K_MARKER,
+    K_RECV,
+    K_SEND,
+    ColumnarTrace,
 )
+from repro.traces.records import ANY_SOURCE, COLLECTIVE_OPS
 
-__all__ = ["ColumnarTraceView", "RecordTraceView", "is_columnar", "make_view"]
-
-
-def is_columnar(trace: Any) -> bool:
-    """True for column-pool storage (duck-typed on the CSR layout)."""
-    return hasattr(trace, "offsets") and hasattr(trace, "kind")
-
-
-def make_view(trace: Any) -> "RecordTraceView | ColumnarTraceView":
-    """The accessor backend matching the trace's storage representation."""
-    if is_columnar(trace):
-        return ColumnarTraceView(trace)
-    return RecordTraceView(trace)
-
-
-class RecordTraceView:
-    """Accessors over per-rank record lists (the historical code paths)."""
-
-    def __init__(self, trace: Any):
-        self.trace = trace
-        self.nproc = trace.nproc
-
-    def has_iteration_markers(self) -> bool:
-        """Any ``MarkerRecord`` with ``iteration >= 0`` on rank 0."""
-        return any(
-            isinstance(rec, MarkerRecord) and rec.iteration >= 0
-            for rec in self.trace[0]
-        )
-
-    def silent_ranks(self) -> list[int]:
-        """Ranks whose total compute time is exactly zero."""
-        return [
-            stream.rank
-            for stream in self.trace
-            if stream.compute_time() == 0.0
-        ]
-
-    def pair_counts(
-        self,
-    ) -> tuple[
-        dict[tuple[int, int], int], dict[tuple[int, int], int], set[int]
-    ]:
-        """(send counts, recv counts, wildcard-recv ranks) by (src, dst)."""
-        sends: dict[tuple[int, int], int] = {}
-        recvs: dict[tuple[int, int], int] = {}
-        wildcard_recv_ranks: set[int] = set()
-        for stream in self.trace:
-            for rec in stream:
-                if isinstance(rec, (SendRecord, IsendRecord)):
-                    key = (stream.rank, rec.dst)
-                    sends[key] = sends.get(key, 0) + 1
-                elif isinstance(rec, (RecvRecord, IrecvRecord)):
-                    if rec.src == ANY_SOURCE:
-                        wildcard_recv_ranks.add(stream.rank)
-                        continue  # cannot be attributed to a pair
-                    key = (rec.src, stream.rank)
-                    recvs[key] = recvs.get(key, 0) + 1
-        return sends, recvs, wildcard_recv_ranks
-
-    def wildcard_recv_counts(self) -> list[tuple[int, int]]:
-        """(rank, count) of any-source receives, count > 0, rank order."""
-        out = []
-        for stream in self.trace:
-            n = sum(
-                1
-                for rec in stream
-                if isinstance(rec, (RecvRecord, IrecvRecord))
-                and rec.src == ANY_SOURCE
-            )
-            if n:
-                out.append((stream.rank, n))
-        return out
-
-    def eager_cliff_counts(self, threshold: int) -> list[tuple[int, int]]:
-        """(rank, count) of sends in ``(threshold, int(threshold*1.1)]``."""
-        out = []
-        for stream in self.trace:
-            n = sum(
-                1
-                for rec in stream
-                if isinstance(rec, (SendRecord, IsendRecord))
-                and threshold < rec.nbytes <= int(threshold * 1.1)
-            )
-            if n:
-                out.append((stream.rank, n))
-        return out
-
-    def collective_alignment(
-        self,
-    ) -> tuple[list[str], list[list[int]]]:
-        """Rank 0's collective op names and, per collective index of rank
-        0, the contribution sizes of every rank reaching that index (rank
-        order)."""
-        sequences = [
-            [rec for rec in stream if isinstance(rec, CollectiveRecord)]
-            for stream in self.trace
-        ]
-        if not sequences or not sequences[0]:
-            return [], []
-        ops0 = [rec.op for rec in sequences[0]]
-        sizes = [
-            [seq[idx].nbytes for seq in sequences if idx < len(seq)]
-            for idx in range(len(sequences[0]))
-        ]
-        return ops0, sizes
-
-    def tiny_burst_counts(
-        self, latency: float
-    ) -> list[tuple[int, int, int]]:
-        """(rank, bursts shorter than latency, stream length), all ranks."""
-        out = []
-        for stream in self.trace:
-            tiny = sum(
-                1
-                for rec in stream
-                if isinstance(rec, ComputeBurst)
-                and 0.0 < rec.duration < latency
-            )
-            out.append((stream.rank, tiny, len(stream)))
-        return out
+__all__ = ["ColumnarTraceView"]
 
 
 class ColumnarTraceView:
-    """The same queries as vectorised expressions over pooled columns.
+    """The rule queries as vectorised expressions over pooled columns."""
 
-    Outputs are value- and order-identical to :class:`RecordTraceView`
-    on the equivalent trace; no ``Record`` objects are materialised.
-    """
-
-    def __init__(self, trace: Any):
+    def __init__(self, trace: ColumnarTrace):
         self.trace = trace
         self.nproc = trace.nproc
 
     # -- column helpers -------------------------------------------------
     def _event_ranks(self, gidx):
         """Rank owning each global event index (CSR search)."""
-        import numpy as np
-
         return (
             np.searchsorted(self.trace.offsets, gidx, side="right") - 1
         )
 
     def has_iteration_markers(self) -> bool:
-        import numpy as np
-
-        from repro.traces.columnar import K_MARKER
-
+        """Any marker with ``iteration >= 0`` on rank 0."""
         t = self.trace
         lo, hi = int(t.offsets[0]), int(t.offsets[1])
         k = t.kind[lo:hi]
         return bool(np.any((k == K_MARKER) & (t.aux[lo:hi] >= 0)))
 
     def silent_ranks(self) -> list[int]:
-        import numpy as np
-
-        from repro.traces.columnar import K_COMPUTE
-
+        """Ranks whose total compute time is exactly zero."""
         t = self.trace
         # sum of non-negative finite durations is 0.0 iff none is positive
         mask = (t.kind == K_COMPUTE) & (t.duration > 0.0)
@@ -203,10 +68,7 @@ class ColumnarTraceView:
     ) -> tuple[
         dict[tuple[int, int], int], dict[tuple[int, int], int], set[int]
     ]:
-        import numpy as np
-
-        from repro.traces.columnar import K_IRECV, K_ISEND, K_RECV, K_SEND
-
+        """(send counts, recv counts, wildcard-recv ranks) by (src, dst)."""
         t = self.trace
         k = t.kind
 
@@ -235,10 +97,7 @@ class ColumnarTraceView:
         return sends, recvs, wildcard_recv_ranks
 
     def wildcard_recv_counts(self) -> list[tuple[int, int]]:
-        import numpy as np
-
-        from repro.traces.columnar import K_IRECV, K_RECV
-
+        """(rank, count) of any-source receives, count > 0, rank order."""
         t = self.trace
         k = t.kind
         mask = ((k == K_RECV) | (k == K_IRECV)) & (t.peer == ANY_SOURCE)
@@ -250,10 +109,7 @@ class ColumnarTraceView:
         ]
 
     def eager_cliff_counts(self, threshold: int) -> list[tuple[int, int]]:
-        import numpy as np
-
-        from repro.traces.columnar import K_ISEND, K_SEND
-
+        """(rank, count) of sends in ``(threshold, int(threshold*1.1)]``."""
         t = self.trace
         k = t.kind
         mask = (
@@ -271,10 +127,9 @@ class ColumnarTraceView:
     def collective_alignment(
         self,
     ) -> tuple[list[str], list[list[int]]]:
-        import numpy as np
-
-        from repro.traces.columnar import K_COLLECTIVE
-
+        """Rank 0's collective op names and, per collective index of rank
+        0, the contribution sizes of every rank reaching that index (rank
+        order)."""
         t = self.trace
         gidx = np.flatnonzero(t.kind == K_COLLECTIVE)
         if gidx.size == 0:
@@ -305,10 +160,7 @@ class ColumnarTraceView:
     def tiny_burst_counts(
         self, latency: float
     ) -> list[tuple[int, int, int]]:
-        import numpy as np
-
-        from repro.traces.columnar import K_COMPUTE
-
+        """(rank, bursts shorter than latency, stream length), all ranks."""
         t = self.trace
         mask = (
             (t.kind == K_COMPUTE)

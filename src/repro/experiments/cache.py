@@ -343,12 +343,8 @@ class ResultCache:
                 continue
             removed += 1
             freed += stat.st_size
-        tmp_cutoff = time.time() - _TMP_GRACE_SECONDS
-        for tmp in self._tmp_files():
+        for tmp, stat in self._stale_tmp_files():
             try:
-                stat = tmp.stat()
-                if stat.st_mtime >= tmp_cutoff:
-                    continue
                 tmp.unlink()
             except OSError:
                 continue  # a writer renamed/cleaned it first
@@ -357,14 +353,18 @@ class ResultCache:
         return {"removed": removed, "freed_bytes": freed}
 
     def clear(self) -> int:
-        """Remove every blob (and temp file); returns how many.
+        """Remove every blob and every temp file older than
+        :data:`_TMP_GRACE_SECONDS`; returns how many.
 
-        Like :meth:`gc`, tolerant of files vanishing mid-walk: two
-        replicas clearing the same directory both succeed, and the
-        counts only reflect files this call actually removed.
+        Younger temp files are spared, as in :meth:`gc`: they may belong
+        to a live ``put`` whose rename would otherwise fail.  Tolerant of
+        files vanishing mid-walk: two replicas clearing the same
+        directory both succeed, and the counts only reflect files this
+        call actually removed.
         """
         removed = 0
-        for path in list(self._blobs()) + list(self._tmp_files()):
+        stale = [tmp for tmp, _ in self._stale_tmp_files()]
+        for path in list(self._blobs()) + stale:
             try:
                 path.unlink()
             except OSError:
@@ -378,11 +378,20 @@ class ResultCache:
         except OSError:
             return
 
-    def _tmp_files(self):
+    def _stale_tmp_files(self):
+        """``(path, stat)`` of temp files older than the grace period."""
+        cutoff = time.time() - _TMP_GRACE_SECONDS
         try:
-            yield from self.cache_dir.glob("*.tmp")
+            tmps = list(self.cache_dir.glob("*.tmp"))
         except OSError:
             return
+        for tmp in tmps:
+            try:
+                stat = tmp.stat()
+            except OSError:
+                continue  # a writer renamed/cleaned it first
+            if stat.st_mtime < cutoff:
+                yield tmp, stat
 
 
 def platform_payload(platform: PlatformConfig) -> dict[str, Any]:

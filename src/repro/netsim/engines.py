@@ -23,7 +23,7 @@ workers.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from repro.core.timemodel import BetaTimeModel
 from repro.netsim.compiled import CompiledReplayEngine, UnsupportedWorldError
@@ -33,6 +33,9 @@ from repro.netsim.record import RunResult
 from repro.netsim.simulator import MpiSimulator
 from repro.traces.records import Record
 from repro.traces.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traces.columnar import ColumnarTrace
 
 __all__ = ["ENGINE_NAMES", "AutoReplayEngine", "make_engine"]
 
@@ -104,7 +107,7 @@ class AutoReplayEngine:
 
     def run_trace(
         self,
-        trace: Trace,
+        trace: Trace | ColumnarTrace,
         frequencies: Sequence[float] | float | None = None,
         **kwargs: Any,
     ) -> RunResult:

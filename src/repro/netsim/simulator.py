@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 from time import perf_counter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from repro.simx.errors import DeadlockError, SimulationError
 from repro.simx.process import Hold, Process, Signal, WaitSignal
 from repro.traces.records import Record
 from repro.traces.trace import Trace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traces.columnar import ColumnarTrace
 
 __all__ = ["MpiSimulator"]
 
@@ -136,7 +139,7 @@ class MpiSimulator:
 
     def run_trace(
         self,
-        trace: Trace,
+        trace: Trace | ColumnarTrace,
         frequencies: Sequence[float] | float | None = None,
         **kwargs: Any,
     ) -> RunResult:

@@ -116,6 +116,9 @@ class ServiceApp:
         self.metrics = MetricsRegistry()
         self._worker_cache: dict[str, int] = {}
         self._worker_engines: dict[str, float] = {}
+        # compute requests served, and how many of them the cache answered
+        self._served = 0
+        self._served_from_cache = 0
         self._build_metrics()
 
         self.port: int | None = None
@@ -214,7 +217,9 @@ class ServiceApp:
             )
         m.gauge(
             "repro_service_cache_hit_ratio",
-            "Result-cache hits / lookups since start (0 when idle).",
+            "Balance, batch and experiment requests answered from the "
+            "result cache / all such requests served since start (0 when "
+            "idle).",
             fn=self._hit_ratio,
         )
         m.gauge(
@@ -278,14 +283,7 @@ class ServiceApp:
         )
 
     def _hit_ratio(self) -> float:
-        hits = (
-            self._cache_counter("hits")
-            + self.fast_hits_total.value(kind="balance")
-            + self.fast_hits_total.value(kind="balance_batch")
-            + self.fast_hits_total.value(kind="experiment")
-        )
-        lookups = hits + self._cache_counter("misses")
-        return hits / lookups if lookups else 0.0
+        return self._served_from_cache / self._served if self._served else 0.0
 
     # ------------------------------------------------------------------
     # Core pipeline
@@ -350,6 +348,9 @@ class ServiceApp:
             return result, "miss"
 
         (result, state), led = await self.flight.do(key, leader)
+        self._served += 1
+        if state == "hit":  # followers of a cache hit count as hits too
+            self._served_from_cache += 1
         if not led:
             self.coalesced_total.inc(kind=kind)
             state = "coalesced"

@@ -14,6 +14,11 @@ Computation times come straight from the trace (they are
 frequency-independent recordings at nominal speed); the total execution
 time requires a replay through the simulator, so
 :func:`parallel_efficiency` takes it as an argument.
+
+Every function reads the pooled columns of a
+:class:`~repro.traces.columnar.ColumnarTrace`; a record-object
+:class:`~repro.traces.trace.Trace` is converted on entry by
+:func:`~repro.traces.columnar.as_columnar`.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from repro.traces.columnar import (
     K_MARKER,
     K_SEND,
     ColumnarTrace,
+    as_columnar,
 )
-from repro.traces.records import CollectiveRecord, MarkerRecord
 from repro.traces.trace import Trace
 
 AnyTrace = Trace | ColumnarTrace
@@ -50,9 +55,7 @@ __all__ = [
 
 def compute_times(trace: AnyTrace) -> np.ndarray:
     """Per-rank total computation seconds (at nominal frequency)."""
-    if isinstance(trace, ColumnarTrace):
-        return trace.compute_times()
-    return np.array([stream.compute_time() for stream in trace], dtype=float)
+    return as_columnar(trace).compute_times()
 
 
 def compute_times_by_phase(trace: AnyTrace) -> dict[str, np.ndarray]:
@@ -61,6 +64,7 @@ def compute_times_by_phase(trace: AnyTrace) -> dict[str, np.ndarray]:
     Returns ``{phase_label: array of length nproc}``.  Ranks that never
     execute a phase contribute 0 for it.
     """
+    trace = as_columnar(trace)
     phases: dict[str, np.ndarray] = {}
     for stream in trace:
         for label, seconds in stream.compute_time_by_phase().items():
@@ -114,27 +118,16 @@ def communication_matrix(trace: AnyTrace) -> tuple[np.ndarray, np.ndarray]:
     pairwise decomposition (their volume is in
     :attr:`TraceStats.collective_counts`).
     """
-    from repro.traces.records import IsendRecord, SendRecord
-
+    trace = as_columnar(trace)
     nproc = trace.nproc
     nbytes = np.zeros((nproc, nproc))
     counts = np.zeros((nproc, nproc), dtype=int)
-    if isinstance(trace, ColumnarTrace):
-        # np.add.at accumulates per cell in storage (= program) order,
-        # matching the record loop's additions exactly
-        is_send = (trace.kind == K_SEND) | (trace.kind == K_ISEND)
-        src = np.repeat(
-            np.arange(nproc), np.diff(trace.offsets)
-        )[is_send]
-        dst = trace.peer[is_send].astype(np.intp)
-        np.add.at(nbytes, (src, dst), trace.size[is_send].astype(float))
-        np.add.at(counts, (src, dst), 1)
-        return nbytes, counts
-    for stream in trace:
-        for rec in stream:
-            if isinstance(rec, (SendRecord, IsendRecord)):
-                nbytes[stream.rank, rec.dst] += rec.nbytes
-                counts[stream.rank, rec.dst] += 1
+    # np.add.at accumulates per cell in storage (= program) order
+    is_send = (trace.kind == K_SEND) | (trace.kind == K_ISEND)
+    src = np.repeat(np.arange(nproc), np.diff(trace.offsets))[is_send]
+    dst = trace.peer[is_send].astype(np.intp)
+    np.add.at(nbytes, (src, dst), trace.size[is_send].astype(float))
+    np.add.at(counts, (src, dst), 1)
     return nbytes, counts
 
 
@@ -155,17 +148,11 @@ def top_communicators(trace: AnyTrace, k: int = 5) -> list[tuple[int, int, float
 
 def iteration_count(trace: AnyTrace) -> int:
     """Number of distinct iteration indices announced by rank-0 markers."""
-    if isinstance(trace, ColumnarTrace):
-        lo, hi = int(trace.offsets[0]), int(trace.offsets[1])
-        aux = trace.aux[lo:hi]
-        mask = (trace.kind[lo:hi] == K_MARKER) & (aux >= 0)
-        return int(np.unique(aux[mask]).size)
-    iters = {
-        rec.iteration
-        for rec in trace[0]
-        if isinstance(rec, MarkerRecord) and rec.iteration >= 0
-    }
-    return len(iters)
+    trace = as_columnar(trace)
+    lo, hi = int(trace.offsets[0]), int(trace.offsets[1])
+    aux = trace.aux[lo:hi]
+    mask = (trace.kind[lo:hi] == K_MARKER) & (aux >= 0)
+    return int(np.unique(aux[mask]).size)
 
 
 @dataclass
@@ -204,15 +191,8 @@ def trace_stats(
     ``total_execution_time`` (from a simulator replay) enables the
     parallel-efficiency column; without it PE is ``None``.
     """
+    trace = as_columnar(trace)
     times = compute_times(trace)
-    if isinstance(trace, ColumnarTrace):
-        coll = trace.collective_counts()
-    else:
-        coll = {}
-        for stream in trace:
-            for rec in stream:
-                if isinstance(rec, CollectiveRecord):
-                    coll[rec.op] = coll.get(rec.op, 0) + 1
     pe = (
         parallel_efficiency(trace, total_execution_time)
         if total_execution_time is not None
@@ -230,5 +210,5 @@ def trace_stats(
         iterations=iteration_count(trace),
         total_records=trace.total_records(),
         bytes_sent=sum(s.bytes_sent() for s in trace),
-        collective_counts=coll,
+        collective_counts=trace.collective_counts(),
     )

@@ -69,6 +69,7 @@ __all__ = [
     "ColumnarRankView",
     "ColumnarTrace",
     "ColumnarTraceBuilder",
+    "as_columnar",
 ]
 
 #: Kind-code vocabulary; index = the int8 stored in the ``kind`` column.
@@ -833,3 +834,16 @@ class ColumnarTrace:
             f"<ColumnarTrace {self.name!r} nproc={self.nproc} "
             f"events={self.n_events} bytes={self.nbytes()}>"
         )
+
+
+def as_columnar(trace: "Trace | ColumnarTrace") -> ColumnarTrace:
+    """``trace`` as a :class:`ColumnarTrace`: columns pass through as is,
+    a record-object :class:`Trace` is converted losslessly.
+
+    The one door through which record traces enter the trace analyses,
+    transforms and diagnostics, so each of those has a single columnar
+    implementation.
+    """
+    if isinstance(trace, ColumnarTrace):
+        return trace
+    return ColumnarTrace.from_trace(trace)

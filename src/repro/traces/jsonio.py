@@ -32,7 +32,11 @@ from collections.abc import Iterator
 from typing import IO, Any
 
 from repro.traces import colstore
-from repro.traces.columnar import ColumnarTrace, ColumnarTraceBuilder
+from repro.traces.columnar import (
+    ColumnarTrace,
+    ColumnarTraceBuilder,
+    as_columnar,
+)
 from repro.traces.records import record_from_dict, record_to_dict
 from repro.traces.trace import Trace
 
@@ -70,12 +74,7 @@ def write_trace(trace: Trace | ColumnarTrace, path_or_file: PathOrFile) -> None:
     if not _is_stream(path_or_file) and str(
         os.fspath(path_or_file)  # type: ignore[arg-type]
     ).endswith(colstore.STORE_EXTENSION):
-        col = (
-            trace
-            if isinstance(trace, ColumnarTrace)
-            else ColumnarTrace.from_trace(trace)
-        )
-        col.save(path_or_file)  # type: ignore[arg-type]
+        as_columnar(trace).save(path_or_file)  # type: ignore[arg-type]
         return
     stream, should_close = _open(path_or_file, "w")
     try:

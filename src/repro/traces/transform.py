@@ -5,6 +5,11 @@ burst durations are rescaled for each rank's assigned frequency, then
 the modified trace is replayed.  :func:`scale_compute` is that rewrite.
 :func:`cut_iterations` extracts an iterative region (the Paraver step of
 "discarding initialization"), and :func:`concat_traces` splices regions.
+
+The rewrite and the cut work on the pooled columns of a
+:class:`~repro.traces.columnar.ColumnarTrace` and return one; a
+record-object :class:`~repro.traces.trace.Trace` is converted on entry
+by :func:`~repro.traces.columnar.as_columnar`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.timemodel import BetaTimeModel
-from repro.traces.columnar import K_COMPUTE, K_MARKER, ColumnarTrace
-from repro.traces.records import ComputeBurst, MarkerRecord
+from repro.traces.columnar import K_COMPUTE, K_MARKER, ColumnarTrace, as_columnar
 from repro.traces.trace import Trace
 
 __all__ = ["concat_traces", "cut_iterations", "scale_compute"]
@@ -26,23 +30,23 @@ def scale_compute(
     trace: Trace | ColumnarTrace,
     frequencies: Sequence[float] | float,
     model: BetaTimeModel,
-) -> Trace | ColumnarTrace:
+) -> ColumnarTrace:
     """Rewrite compute-burst durations for per-rank frequencies.
 
-    Every :class:`ComputeBurst` of rank *k* gets duration
+    Every compute burst of rank *k* gets duration
     ``T * (beta * (fmax/f_k - 1) + 1)`` (per-burst β overrides honoured).
-    All other records pass through untouched.  The result's metadata
+    All other events pass through untouched.  The result's metadata
     records the frequencies for provenance.
 
-    A :class:`ColumnarTrace` input is rewritten column-wise (no record
-    objects) and yields a :class:`ColumnarTrace` whose durations are
-    bit-identical to the record path's — the per-event arithmetic is
-    the same IEEE operations in the same order.
+    The rewrite runs column-wise on a :class:`ColumnarTrace` (a record
+    trace is converted first) with the same IEEE operations, in the same
+    order, as :meth:`BetaTimeModel.ratio`.
 
     Note: the rescaled durations are *actual* times at the new frequency,
     so the resulting trace must be replayed at nominal speed (pass no
     ``frequencies`` to the simulator) to avoid double scaling.
     """
+    trace = as_columnar(trace)
     if np.isscalar(frequencies):
         freqs = np.full(trace.nproc, float(frequencies))
     else:
@@ -57,55 +61,38 @@ def scale_compute(
     meta = dict(trace.meta)
     meta["scaled_frequencies"] = [float(f) for f in freqs]
     meta["time_model"] = {"fmax": model.fmax, "beta": model.beta}
-    if isinstance(trace, ColumnarTrace):
-        return _scale_compute_columns(trace, freqs, model, meta)
-    out = Trace(trace.nproc, meta=meta)
-    for stream in trace:
-        f = freqs[stream.rank]
-        ratio_default = model.ratio(f)
-        new_records = []
-        for rec in stream:
-            if isinstance(rec, ComputeBurst) and rec.duration > 0.0:
-                ratio = ratio_default if rec.beta is None else model.ratio(f, rec.beta)
-                # the rewritten burst is an *actual* duration: β no longer
-                # applies to it, so drop the override
-                rec = ComputeBurst(rec.duration * ratio, phase=rec.phase)
-            new_records.append(rec)
-        out[stream.rank].records = new_records
-    return out
+    return _rescale_bursts(
+        trace,
+        np.repeat(freqs, np.diff(trace.offsets)),
+        (trace.kind == K_COMPUTE) & (trace.duration > 0.0),
+        model,
+        meta,
+    )
 
 
-def _scale_compute_columns(
+def _rescale_bursts(
     trace: ColumnarTrace,
     freqs: np.ndarray,
+    scale: np.ndarray,
     model: BetaTimeModel,
     meta: dict,
 ) -> ColumnarTrace:
-    """Column-wise :func:`scale_compute` (bit-identical to the record path)."""
+    """Copy of ``trace`` with the bursts selected by the ``scale`` mask
+    rescaled to their per-event frequencies ``freqs``."""
     duration = trace.duration.copy()
     beta = trace.beta.copy()
-    offsets = trace.offsets
-    kind = trace.kind
-    default_beta = model.beta
-    for rank in range(trace.nproc):
-        lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-        seg_dur = duration[lo:hi]
-        sel = (kind[lo:hi] == K_COMPUTE) & (seg_dur > 0.0)
-        if not sel.any():
-            continue
-        # same IEEE operations in the same order as model.ratio(f, beta)
-        x = model.fmax / float(freqs[rank]) - 1.0
-        seg_beta = beta[lo:hi]
-        b_eff = np.where(np.isnan(seg_beta), default_beta, seg_beta)
-        seg_dur[sel] = seg_dur[sel] * (b_eff[sel] * x + 1.0)
-        # the rewritten burst is an *actual* duration: β no longer
-        # applies to it, so drop the override
-        seg_beta[sel] = math.nan
+    # same IEEE operations in the same order as model.ratio(f, beta)
+    x = model.fmax / freqs[scale] - 1.0
+    b_eff = np.where(np.isnan(beta[scale]), model.beta, beta[scale])
+    duration[scale] = duration[scale] * (b_eff * x + 1.0)
+    # the rewritten burst is an *actual* duration: β no longer applies
+    # to it, so drop the override
+    beta[scale] = math.nan
     return ColumnarTrace(
         nproc=trace.nproc,
         meta=meta,
-        offsets=offsets,
-        kind=kind,
+        offsets=trace.offsets,
+        kind=trace.kind,
         duration=duration,
         beta=beta,
         peer=trace.peer,
@@ -122,50 +109,23 @@ def _scale_compute_columns(
 
 def cut_iterations(
     trace: Trace | ColumnarTrace, first: int, last: int
-) -> Trace | ColumnarTrace:
+) -> ColumnarTrace:
     """Extract iterations ``first..last`` (inclusive) of the trace.
 
-    Iterations are delimited by :class:`MarkerRecord` entries with
-    ``iteration >= 0``: a rank's records belong to iteration *i* from the
-    first marker carrying ``iteration == i`` up to (excluding) the next
-    marker with a different iteration.  Records before any iteration
-    marker (initialization) are dropped — exactly the Paraver trace-
-    cutting step the paper describes.
+    Iterations are delimited by marker events with ``iteration >= 0``: a
+    rank's events belong to iteration *i* from the first marker carrying
+    ``iteration == i`` up to (excluding) the next marker with a different
+    iteration.  Events before any iteration marker (initialization) are
+    dropped — exactly the Paraver trace-cutting step the paper describes.
 
-    A :class:`ColumnarTrace` input is cut column-wise (no record
-    objects) and yields a :class:`ColumnarTrace` holding the same
-    events as the record path's result.
+    The cut runs column-wise on a :class:`ColumnarTrace` (a record trace
+    is converted first).
     """
     if first < 0 or last < first:
         raise ValueError(f"bad iteration range [{first}, {last}]")
+    trace = as_columnar(trace)
     meta = dict(trace.meta)
     meta["cut"] = {"first": first, "last": last}
-    if isinstance(trace, ColumnarTrace):
-        return _cut_iterations_columns(trace, first, last, meta)
-    out = Trace(trace.nproc, meta=meta)
-    saw_any = False
-    for stream in trace:
-        current = -1  # -1 = initialization, not part of any iteration
-        kept = []
-        for rec in stream:
-            if isinstance(rec, MarkerRecord) and rec.iteration >= 0:
-                current = rec.iteration
-            if first <= current <= last and current >= 0:
-                kept.append(rec)
-                saw_any = True
-        out[stream.rank].records = kept
-    if not saw_any:
-        raise ValueError(
-            f"no records in iterations [{first}, {last}]; does the trace "
-            "carry iteration markers?"
-        )
-    return out
-
-
-def _cut_iterations_columns(
-    trace: ColumnarTrace, first: int, last: int, meta: dict
-) -> ColumnarTrace:
-    """Column-wise :func:`cut_iterations` (same events as the record path)."""
     offsets = trace.offsets
     kind = trace.kind
     aux = trace.aux

@@ -205,6 +205,26 @@ class TestDiskMaintenance:
         cache.gc(max_age_days=365)
         assert not os.path.exists(dead)
 
+    def test_clear_spares_temp_files_of_live_writers(self, tmp_path):
+        """``repro cache clear`` on a live fleet's root must not break a
+        ``put`` between its temp-file write and its rename."""
+        import os
+        import tempfile
+        import time
+
+        cache = ResultCache(tmp_path)
+        fd, live = tempfile.mkstemp(dir=tmp_path, suffix=".tmp")
+        os.close(fd)
+        assert cache.clear() == 0
+        os.replace(live, tmp_path / "landed.pkl")  # the writer finishes
+
+        fd, dead = tempfile.mkstemp(dir=tmp_path, suffix=".tmp")
+        os.close(fd)
+        stale = time.time() - _TMP_GRACE_SECONDS - 60
+        os.utime(dead, (stale, stale))
+        assert cache.clear() == 2  # the landed blob and the stale temp
+        assert not os.path.exists(dead)
+
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("trace", {"a": 1}, [1])

@@ -33,6 +33,7 @@ from repro.diagnostics.rules_results import ResultsContext
 from repro.experiments.fig9 import avg_discrete_set
 from repro.netsim.platform import MYRINET_LIKE, PlatformConfig
 from repro.netsim.simulator import MpiSimulator
+from repro.simx.errors import DeadlockError, SimulationError
 from repro.traces.jsonio import write_trace
 from repro.traces.records import (
     CollectiveRecord,
@@ -230,6 +231,89 @@ class TestDeadlockDetector:
                 if d.severity is Severity.ERROR
             ]
             assert errors == [], f"{name}: {[str(d) for d in errors]}"
+
+
+
+def _ring(nbytes):
+    """Four ranks each send to their successor, then receive."""
+    return marked(
+        [
+            [
+                ComputeBurst(0.01),
+                SendRecord((rank + 1) % 4, nbytes),
+                RecvRecord((rank - 1) % 4),
+            ]
+            for rank in range(4)
+        ]
+    )
+
+
+BIG = MYRINET_LIKE.eager_threshold + 1  # rendezvous on the default net
+
+#: name -> (world builder, what the DES does with it).  No wildcard
+#: receives: the replay settles those FIFO, the DES by timing.
+DES_ORACLE_WORLDS = {
+    "rendezvous-ring": (lambda: _ring(BIG), "deadlock"),
+    "eager-ring": (lambda: _ring(8), "clean"),
+    "head-to-head-rendezvous": (
+        lambda: marked(
+            [
+                [ComputeBurst(0.01), SendRecord(1, BIG), RecvRecord(1)],
+                [ComputeBurst(0.01), SendRecord(0, BIG), RecvRecord(0)],
+            ]
+        ),
+        "deadlock",
+    ),
+    "orphan-recv": (
+        lambda: marked(
+            [[ComputeBurst(0.01)], [ComputeBurst(0.01), RecvRecord(0)]]
+        ),
+        "deadlock",
+    ),
+    "collective-clash": (
+        lambda: marked(
+            [
+                [ComputeBurst(0.01), CollectiveRecord("barrier")],
+                [ComputeBurst(0.01), CollectiveRecord("allreduce", 8)],
+            ]
+        ),
+        "mismatch",
+    ),
+    "app-CG-16": (
+        lambda: build_app("CG-16", iterations=2).columnar_trace(),
+        "clean",
+    ),
+    "app-BT-MZ-32": (
+        lambda: build_app("BT-MZ-32", iterations=2).columnar_trace(),
+        "clean",
+    ),
+}
+
+
+class TestDesJudgesTheReplay:
+    """The discrete-event simulator is the independent check of the
+    static replay: a deadlock report holds exactly when the DES raises
+    ``DeadlockError``, and a collective mismatch exactly when the DES
+    rejects the collective order."""
+
+    @pytest.mark.parametrize("name", list(DES_ORACLE_WORLDS))
+    def test_replay_agrees_with_des(self, name):
+        build, expected = DES_ORACLE_WORLDS[name]
+        trace = build()
+        try:
+            MpiSimulator(MYRINET_LIKE).run_trace(trace)
+        except DeadlockError:
+            outcome = "deadlock"
+        except SimulationError as exc:
+            assert "collective mismatch" in str(exc)
+            outcome = "mismatch"
+        else:
+            outcome = "clean"
+        assert outcome == expected
+
+        report = analyze_deadlock(trace, MYRINET_LIKE)
+        assert report.deadlocked == (outcome == "deadlock")
+        assert bool(report.collective_mismatches) == (outcome == "mismatch")
 
 
 class TestGearAndPlatformRules:

@@ -637,6 +637,21 @@ class TestMetrics:
         assert "repro_service_result_cache_corrupt_total 0" in lines
         assert "repro_service_cache_hit_ratio" in text
 
+    def test_hit_ratio_counts_requests_not_lookups(self, tmp_path):
+        """One count per request: a cold request is one miss however
+        many cache lookups it makes, a warm one is one hit."""
+        def ratio(svc):
+            text = svc.client.request("GET", "/metrics").text
+            return metric_value(text, "repro_service_cache_hit_ratio")
+
+        with make_service(tmp_path) as svc:
+            svc.client.balance(**SPEC)
+            assert ratio(svc) == 0.0
+            svc.client.balance(**SPEC)
+            assert ratio(svc) == 0.5
+            svc.client.balance(**SPEC)
+            assert ratio(svc) == pytest.approx(2 / 3)
+
     def test_unit_metric_primitives(self):
         from repro.service.metrics import MetricsRegistry
 
